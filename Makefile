@@ -2,10 +2,11 @@
 #
 #   make             build + test
 #   make check       build + vet + test + race + fuzz-smoke + serve-smoke
-#                    (tier-1, everything CI runs)
+#                    + perfbench-check (tier-1, everything CI runs)
 #   make verify      alias for check
 #   make fuzz-smoke  run each native fuzz target briefly (10s apiece)
 #   make serve-smoke build mdserve and drive it end to end over TCP
+#   make perfbench-check  vet + test the nested perfbench/ benchmark module
 #   make metrics     regenerate metrics.json + OPTGAP.md and sanity-check them
 #   make bench-json  regenerate BENCH_parallel.json on this host
 #   make bench-reduction  regenerate BENCH_reduction.json on this host
@@ -25,7 +26,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: all build test race vet bench bench-json bench-reduction bench-sched bench-throughput bench-serve bench-opt bench-repr crossover bench-compare bench-alloc metrics opt-gap profile fuzz-smoke serve-smoke check verify clean
+.PHONY: all build test race vet bench bench-json bench-reduction bench-sched bench-throughput bench-serve bench-opt bench-repr crossover bench-compare bench-alloc metrics opt-gap profile fuzz-smoke serve-smoke perfbench-check check verify clean
 
 all: build test
 
@@ -189,7 +190,13 @@ fuzz-smoke:
 serve-smoke:
 	$(GO) test -tags smoke -run '^TestServeSmoke$$' -count=1 ./internal/serve/
 
-check: build vet test race fuzz-smoke serve-smoke
+# perfbench/ is a Go module of its own (it imports this one through a
+# replace), so `./...` never enters it: without this target a core API
+# change that breaks the benchmark would pass every other check.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
+check: build vet test race fuzz-smoke serve-smoke perfbench-check
 
 verify: check
 

@@ -8,7 +8,7 @@
 //	mdreduce -machine cydra5 -objective res-uses
 //	mdreduce -file mymachine.mdl -objective 4-cycle-word
 //	mdreduce -machine mips -objective 2-cycle-word -stats-only
-//	mdreduce -machine cydra5 -parallel 8   # fan the pipeline across 8 workers
+//	mdreduce -machine cydra5 -parallel 8   # 8 workers for F-matrix, Verify, -exact
 //	mdreduce -machine mips -metrics -     # reduction profile as JSON on stdout
 //
 // Reductions go through the process-wide content-keyed cache: asking for
@@ -44,7 +44,7 @@ func main() {
 		objective = flag.String("objective", "res-uses", "res-uses or <k>-cycle-word")
 		statsOnly = flag.Bool("stats-only", false, "print statistics without the reduced description")
 		exact     = flag.Bool("exact", false, "also compute the optimal res-uses cover by branch and bound (small machines only)")
-		nParallel = flag.Int("parallel", 0, "worker-pool size for the reduction pipeline and -exact search (0 = GOMAXPROCS, 1 = serial)")
+		nParallel = flag.Int("parallel", 0, "worker-pool size for the forbidden-matrix rows, verification and -exact search; the generating set is serial (0 = GOMAXPROCS, 1 = serial)")
 		metrics   = flag.String("metrics", "", "enable the observability layer and write a JSON metrics snapshot to this file (\"-\" = stdout)")
 	)
 	flag.Parse()
@@ -91,7 +91,7 @@ func main() {
 	fmt.Println("verification: reduced description preserves all scheduling constraints")
 
 	if *exact {
-		gen := core.GeneratingSetParallel(red.ClassMatrix, nil, workers)
+		gen := core.GeneratingSet(red.ClassMatrix, nil)
 		pruned := core.Prune(red.ClassMatrix, gen)
 		opt := core.ExactCoverWorkers(red.ClassMatrix, pruned, 2_000_000, workers)
 		status := "optimal"

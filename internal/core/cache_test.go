@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -83,28 +81,11 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 }
 
-// genSetKey canonicalizes a generating set for comparison: the sorted
-// usage lists of all live resources.
-func genSetKey(G []*Resource) []string {
-	var keys []string
-	for _, r := range G {
-		us := r.Uses()
-		sort.Slice(us, func(i, j int) bool {
-			if us[i].Op != us[j].Op {
-				return us[i].Op < us[j].Op
-			}
-			return us[i].Cycle < us[j].Cycle
-		})
-		keys = append(keys, fmt.Sprint(us))
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // TestParallelPipelineMatchesSerial is the equivalence suite for every
-// parallel stage of the reduction pipeline: the F matrix, the generating
-// set, and the end-to-end reduction must match the serial reference
-// exactly at any worker count.
+// parallel stage of the reduction pipeline: the F matrix and the
+// end-to-end reduction must match the serial reference exactly at any
+// worker count. (The generating set is serial; TestGeneratingSetMatchesReference
+// pins it against the pre-rewrite oracle.)
 func TestParallelPipelineMatchesSerial(t *testing.T) {
 	for _, m := range []*resmodel.Machine{machines.Cydra5(), machines.MIPS()} {
 		e := m.Expand()
@@ -113,25 +94,6 @@ func TestParallelPipelineMatchesSerial(t *testing.T) {
 		for _, w := range []int{2, 8} {
 			if !serialF.Equal(forbidden.ComputeParallel(e, w)) {
 				t.Errorf("%s: F matrix differs at workers=%d", m.Name, w)
-			}
-		}
-
-		cls := serialF.ComputeClasses()
-		cm := serialF.Collapse(cls)
-		serialG := genSetKey(GeneratingSet(cm, nil))
-		for _, w := range []int{2, 8} {
-			parG := genSetKey(GeneratingSetParallel(cm, nil, w))
-			if len(parG) != len(serialG) {
-				t.Errorf("%s: generating set size %d at workers=%d, want %d",
-					m.Name, len(parG), w, len(serialG))
-				continue
-			}
-			for i := range serialG {
-				if parG[i] != serialG[i] {
-					t.Errorf("%s: generating set differs at workers=%d: %s vs %s",
-						m.Name, w, parG[i], serialG[i])
-					break
-				}
 			}
 		}
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/forbidden"
-	"repro/internal/parallel"
 )
 
 // Rule identifies which rule of Algorithm 1 fired for a trace step.
@@ -73,83 +72,72 @@ type Trace struct {
 // forbids only latencies forbidden by m (soundness) and contains every
 // maximal resource of the target machine, possibly alongside some
 // submaximal ones (Theorem 1); Prune removes the latter.
+//
+// The construction is serial. Each elementary pair's rule applications
+// mutate the set the next application reads, and the per-pair scan is
+// small once dominated resources are gone: on the 2-vCPU reference host a
+// worker pool that fanned the scans out took ~400ms on Cydra 5 against
+// ~190ms serial, one fork/join per elementary pair. Three things keep the
+// serial loop cheap: tombstoned resources are compacted out between
+// pairs (order preserved), a 64-bit usage signature rejects most subset
+// tests before the merge, and each Rule 2 candidate is built in a reused
+// scratch resource that is copied only when it is registered.
 func GeneratingSet(m *forbidden.Matrix, tr *Trace) []*Resource {
-	return GeneratingSetParallel(m, tr, 1)
-}
-
-// scanThreshold is the live-resource count below which the
-// pair-compatibility scan is not worth fanning out (goroutine overhead
-// exceeds the scan work on small generating sets).
-const scanThreshold = 24
-
-// GeneratingSetParallel is GeneratingSet with the pair-compatibility
-// scans fanned across a worker pool. For each elementary pair, testing
-// the pair against one resource of the current set is read-only (it
-// consults only that resource's usages and the forbidden-latency matrix),
-// so the scans of all resources run concurrently; the rule applications,
-// which mutate the set, stay serial and in the original deterministic
-// order. The constructed set is identical at every worker count because
-// resources in G[:snap] are never mutated before their own rule fires.
-func GeneratingSetParallel(m *forbidden.Matrix, tr *Trace, workers int) []*Resource {
-	workers = parallel.Workers(workers)
 	opName := func(i int) string { return fmt.Sprintf("op%d", i) }
 	if tr != nil && tr.OpName != nil {
 		opName = tr.OpName
 	}
 
+	// G holds the live resources in creation order. Resources dominated
+	// while one pair is processed are tombstoned in place and compacted
+	// out before the next pair, so no scan walks over dead entries twice.
 	var G []*Resource
-
-	// subsetOfRes reports whether every usage of a is in b: a linear merge
-	// over the sorted usage slices.
-	subsetOfRes := func(a, b *Resource) bool {
-		if len(a.uses) > len(b.uses) {
-			return false
-		}
-		j := 0
-		for _, u := range a.uses {
-			for j < len(b.uses) && b.uses[j] < u {
-				j++
+	compact := func() {
+		live := G[:0]
+		for _, r := range G {
+			if !r.dead {
+				live = append(live, r)
 			}
-			if j >= len(b.uses) || b.uses[j] != u {
-				return false
-			}
-			j++
 		}
-		return true
+		clear(G[len(live):])
+		G = live
 	}
 
-	// register inserts r into G, maintaining G as an antichain under
-	// usage-set inclusion: r is discarded when a live superset already
-	// exists (the superset serves as the growth seed in Theorem 1's
-	// induction), and live subsets of r are tombstoned (they are dominated
-	// — their generated latencies are a subset of r's, so the final
-	// pruning would remove them anyway). This keeps the generating set
-	// near the true number of maximal resources instead of accumulating
-	// combinatorially many submaximal intermediates on dense machines.
-	register := func(r *Resource) bool {
+	// admit reports whether r may join G, maintaining G as an antichain
+	// under usage-set inclusion: r is rejected when a live superset
+	// already exists (the superset serves as the growth seed in Theorem
+	// 1's induction), and live subsets of r are tombstoned (they are
+	// dominated — their generated latencies are a subset of r's, so the
+	// final pruning would remove them anyway). This keeps the generating
+	// set near the true number of maximal resources instead of
+	// accumulating combinatorially many submaximal intermediates on dense
+	// machines. admit does not append r: a scratch candidate must be
+	// copied first.
+	admit := func(r *Resource) bool {
 		for _, q := range G {
 			if q.dead {
 				continue
 			}
-			if subsetOfRes(r, q) {
+			if r.containedIn(q) {
 				return false
 			}
-			if subsetOfRes(q, r) {
+			if q.containedIn(r) {
 				q.dead = true
 			}
+		}
+		return true
+	}
+	register := func(r *Resource) bool {
+		if !admit(r) {
+			return false
 		}
 		G = append(G, r)
 		return true
 	}
 
-	// scan is the outcome of testing one elementary pair against one
-	// resource of the current set: whether every usage is compatible with
-	// both pair usages, and the compatible subset otherwise.
-	type scan struct {
-		fully      bool
-		compatible []uint32
-	}
-	var scans []scan
+	// cand is the Rule 2 scratch resource: the pair plus the usages of the
+	// current resource compatible with both pair usages.
+	var cand Resource
 
 	for _, p := range elementaryPairs(m) {
 		u0, u1 := p.usages()
@@ -159,55 +147,25 @@ func GeneratingSetParallel(m *forbidden.Matrix, tr *Trace, workers int) []*Resou
 			pt = &PairTrace{Pair: p}
 		}
 
+		compact()
 		snap := len(G) // resources created for this pair are not reprocessed with it
-
-		// Phase 1: compatibility scans. Read-only against the matrix and
-		// each resource's usage set, so they fan out across workers.
-		// Resources in G[:snap] are only ever mutated by their own Rule 1
-		// application below, which consumes this scan first, so scanning
-		// ahead of the serial rule applications sees exactly the usage
-		// sets the serial algorithm would.
-		if cap(scans) < snap {
-			// Grow while keeping the old slots: their compatible buffers are
-			// reused across pairs, so steady state allocates nothing here.
-			grown := make([]scan, snap)
-			copy(grown, scans[:cap(scans)])
-			scans = grown
-		}
-		scans = scans[:snap]
-		scanWorkers := 1
-		if workers > 1 && snap >= scanThreshold {
-			scanWorkers = workers
-		}
-		parallel.ForEach(snap, scanWorkers, func(i int) {
-			q := G[i]
-			if q.dead {
-				scans[i] = scan{compatible: scans[i].compatible[:0]}
-				return
-			}
-			compatible := scans[i].compatible[:0]
-			fully := true
-			for _, u := range q.uses {
-				if compat(m, u, u0) && compat(m, u, u1) {
-					compatible = append(compatible, u)
-				} else {
-					fully = false
-				}
-			}
-			scans[i] = scan{fully: fully, compatible: compatible}
-		})
-
-		// Phase 2: rule applications, serial and in set order (they mutate
-		// the set). Deadness is re-checked here: a resource tombstoned by
-		// an earlier application is skipped exactly as in the serial walk.
 		for i := 0; i < snap; i++ {
 			q := G[i]
 			if q.dead {
 				continue
 			}
-			fully, compatible := scans[i].fully, scans[i].compatible
-			switch {
-			case fully:
+			// q's usages are unchanged since the pair started: a rule only
+			// ever mutates the resource it is applied against.
+			cand.reset()
+			fully := true
+			for _, u := range q.uses {
+				if compat(m, u, u0) && compat(m, u, u1) {
+					cand.push(u)
+				} else {
+					fully = false
+				}
+			}
+			if fully {
 				// Rule 1: add the pair's usages to q in place, then restore
 				// the antichain (q may have converged onto or absorbed
 				// another resource).
@@ -221,11 +179,11 @@ func GeneratingSetParallel(m *forbidden.Matrix, tr *Trace, workers int) []*Resou
 					if j == i || other.dead {
 						continue
 					}
-					if subsetOfRes(q, other) {
+					if q.containedIn(other) {
 						q.dead = true
 						break
 					}
-					if subsetOfRes(other, q) {
+					if other.containedIn(q) {
 						other.dead = true
 					}
 				}
@@ -233,24 +191,29 @@ func GeneratingSetParallel(m *forbidden.Matrix, tr *Trace, workers int) []*Resou
 				if pt != nil {
 					pt.Steps = append(pt.Steps, TraceStep{Rule1, before, q.StringWith(opName)})
 				}
-			default:
-				// Rule 2: consider a new resource = pair + compatible usages
-				// of q. If that resource is simply the pair itself with no
-				// other usages, it is discarded (Rule 3 decides later).
-				nr := newResource(append(compatible, u0, u1)...)
-				if nr.NumUses() > 2 {
-					added := register(nr)
-					containsBoth = true // nr (or its live duplicate) contains both
-					if pt != nil {
-						after := ""
-						if added {
-							after = nr.StringWith(opName)
-						}
-						pt.Steps = append(pt.Steps, TraceStep{Rule2, q.StringWith(opName), after})
-					}
-				} else if pt != nil {
-					pt.Steps = append(pt.Steps, TraceStep{Rule2Discard, q.StringWith(opName), ""})
+				continue
+			}
+			// Rule 2: consider a new resource = pair + compatible usages of
+			// q. If that resource is simply the pair itself with no other
+			// usages, it is discarded (Rule 3 decides later).
+			cand.add(u0)
+			cand.add(u1)
+			if cand.NumUses() > 2 {
+				var nr *Resource
+				if admit(&cand) {
+					nr = cand.clone()
+					G = append(G, nr)
 				}
+				containsBoth = true // nr (or its live superset) contains both
+				if pt != nil {
+					after := ""
+					if nr != nil {
+						after = nr.StringWith(opName)
+					}
+					pt.Steps = append(pt.Steps, TraceStep{Rule2, q.StringWith(opName), after})
+				}
+			} else if pt != nil {
+				pt.Steps = append(pt.Steps, TraceStep{Rule2Discard, q.StringWith(opName), ""})
 			}
 		}
 
@@ -289,12 +252,6 @@ func GeneratingSetParallel(m *forbidden.Matrix, tr *Trace, workers int) []*Resou
 		}
 	}
 
-	// Drop tombstoned duplicates.
-	out := G[:0]
-	for _, r := range G {
-		if !r.dead {
-			out = append(out, r)
-		}
-	}
-	return out
+	compact()
+	return G
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -10,11 +11,12 @@ import (
 	"repro/internal/resmodel"
 )
 
-// This file keeps the pre-rewrite map-based Prune and ExactCover as test
-// oracles: the dense-index/bitset production paths must reproduce their
-// results exactly. The helpers (genTriples, subsetOf, tripleKey) are the
-// old production code verbatim; property tests in core_test.go also use
-// them as an independent check on the bitset paths.
+// This file keeps the pre-rewrite map-based Prune and ExactCover and the
+// pre-rewrite tombstoning GeneratingSet as test oracles: the production
+// paths must reproduce their results exactly. The helpers (genTriples,
+// subsetOf, tripleKey) are the old production code verbatim; property
+// tests in core_test.go also use them as an independent check on the
+// bitset paths.
 
 // genTriples returns the sorted set of non-negative forbidden-latency
 // triples generated by the resource: for usages (X, cx) and (Y, cy),
@@ -65,6 +67,168 @@ func tripleKey(ts []int64) string {
 		}
 	}
 	return string(b)
+}
+
+// referenceGeneratingSet is the pre-rewrite serial GeneratingSet: dead
+// resources stay in G as tombstones until the end, every subset test
+// runs the full merge, and every Rule 2 candidate is allocated before
+// the antichain check. Each pair first scans every resource of G for
+// compatibility, then applies the rules in set order.
+func referenceGeneratingSet(m *forbidden.Matrix, tr *Trace) []*Resource {
+	opName := func(i int) string { return fmt.Sprintf("op%d", i) }
+	if tr != nil && tr.OpName != nil {
+		opName = tr.OpName
+	}
+
+	var G []*Resource
+
+	subsetOfRes := func(a, b *Resource) bool {
+		if len(a.uses) > len(b.uses) {
+			return false
+		}
+		j := 0
+		for _, u := range a.uses {
+			for j < len(b.uses) && b.uses[j] < u {
+				j++
+			}
+			if j >= len(b.uses) || b.uses[j] != u {
+				return false
+			}
+			j++
+		}
+		return true
+	}
+
+	register := func(r *Resource) bool {
+		for _, q := range G {
+			if q.dead {
+				continue
+			}
+			if subsetOfRes(r, q) {
+				return false
+			}
+			if subsetOfRes(q, r) {
+				q.dead = true
+			}
+		}
+		G = append(G, r)
+		return true
+	}
+
+	type scan struct {
+		fully      bool
+		compatible []uint32
+	}
+
+	for _, p := range elementaryPairs(m) {
+		u0, u1 := p.usages()
+		containsBoth := false
+		var pt *PairTrace
+		if tr != nil {
+			pt = &PairTrace{Pair: p}
+		}
+
+		snap := len(G)
+		scans := make([]scan, snap)
+		for i, q := range G[:snap] {
+			if q.dead {
+				continue
+			}
+			var compatible []uint32
+			fully := true
+			for _, u := range q.uses {
+				if compat(m, u, u0) && compat(m, u, u1) {
+					compatible = append(compatible, u)
+				} else {
+					fully = false
+				}
+			}
+			scans[i] = scan{fully, compatible}
+		}
+
+		for i := 0; i < snap; i++ {
+			q := G[i]
+			if q.dead {
+				continue
+			}
+			if scans[i].fully {
+				before := ""
+				if pt != nil {
+					before = q.StringWith(opName)
+				}
+				q.add(u0)
+				q.add(u1)
+				for j, other := range G {
+					if j == i || other.dead {
+						continue
+					}
+					if subsetOfRes(q, other) {
+						q.dead = true
+						break
+					}
+					if subsetOfRes(other, q) {
+						other.dead = true
+					}
+				}
+				containsBoth = true
+				if pt != nil {
+					pt.Steps = append(pt.Steps, TraceStep{Rule1, before, q.StringWith(opName)})
+				}
+				continue
+			}
+			nr := newResource(append(scans[i].compatible, u0, u1)...)
+			if nr.NumUses() > 2 {
+				added := register(nr)
+				containsBoth = true
+				if pt != nil {
+					after := ""
+					if added {
+						after = nr.StringWith(opName)
+					}
+					pt.Steps = append(pt.Steps, TraceStep{Rule2, q.StringWith(opName), after})
+				}
+			} else if pt != nil {
+				pt.Steps = append(pt.Steps, TraceStep{Rule2Discard, q.StringWith(opName), ""})
+			}
+		}
+
+		if !containsBoth {
+			nr := newResource(u0, u1)
+			register(nr)
+			if pt != nil {
+				pt.Steps = append(pt.Steps, TraceStep{Rule3, "", nr.StringWith(opName)})
+			}
+		}
+
+		if pt != nil {
+			for _, r := range G {
+				if !r.dead {
+					pt.Set = append(pt.Set, r.StringWith(opName))
+				}
+			}
+			tr.Pairs = append(tr.Pairs, *pt)
+		}
+	}
+
+	for x := 0; x < m.NumOps; x++ {
+		if m.SelfOnly(x) {
+			nr := newResource(encodeU(x, 0))
+			if register(nr) && tr != nil {
+				tr.Pairs = append(tr.Pairs, PairTrace{
+					Pair:  ElemPair{X: x, Y: x, F: 0},
+					Steps: []TraceStep{{Rule4, "", nr.StringWith(opName)}},
+				})
+			}
+		}
+	}
+
+	out := G[:0]
+	for _, r := range G {
+		if !r.dead {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // pruneReference is the pre-rewrite Prune: sorted-[]int64 triple sets,

@@ -24,8 +24,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"repro/internal/forbidden"
 )
@@ -61,8 +62,16 @@ func decodeU(e uint32) U {
 // form).
 type Resource struct {
 	uses []uint32 // sorted ascending (encoded (op, cycle) order)
-	dead bool     // tombstoned duplicate
+	// sig is the OR of sigBit over uses: a resource whose signature has a
+	// bit outside another's cannot be its subset, which rejects most
+	// generating-set subset tests without the merge.
+	sig  uint64
+	dead bool // dominated within the current elementary pair; compacted out
 }
+
+// sigBit hashes a usage onto one of the signature's 64 bits
+// (multiplicative hashing; the top 6 bits of the product).
+func sigBit(u uint32) uint64 { return 1 << ((u * 0x9E3779B1) >> 26) }
 
 func newResource(us ...uint32) *Resource {
 	r := &Resource{uses: make([]uint32, 0, len(us))}
@@ -70,6 +79,42 @@ func newResource(us ...uint32) *Resource {
 		r.add(u)
 	}
 	return r
+}
+
+// reset empties r for reuse as a scratch resource, keeping its capacity.
+func (r *Resource) reset() {
+	r.uses = r.uses[:0]
+	r.sig = 0
+}
+
+// push appends u, which must sort after every usage already in r.
+func (r *Resource) push(u uint32) {
+	r.uses = append(r.uses, u)
+	r.sig |= sigBit(u)
+}
+
+// clone returns an independent copy of r with exactly sized storage.
+func (r *Resource) clone() *Resource {
+	return &Resource{uses: append([]uint32(nil), r.uses...), sig: r.sig}
+}
+
+// containedIn reports whether every usage of r is in q: a signature test,
+// then a linear merge over the sorted usage slices.
+func (r *Resource) containedIn(q *Resource) bool {
+	if len(r.uses) > len(q.uses) || r.sig&^q.sig != 0 {
+		return false
+	}
+	j := 0
+	for _, u := range r.uses {
+		for j < len(q.uses) && q.uses[j] < u {
+			j++
+		}
+		if j >= len(q.uses) || q.uses[j] != u {
+			return false
+		}
+		j++
+	}
+	return true
 }
 
 func (r *Resource) has(u uint32) bool {
@@ -87,6 +132,7 @@ func (r *Resource) add(u uint32) {
 	r.uses = append(r.uses, 0)
 	copy(r.uses[i+1:], r.uses[i:])
 	r.uses[i] = u
+	r.sig |= sigBit(u)
 }
 
 // NumUses returns the number of usages in the resource.
@@ -98,27 +144,30 @@ func (r *Resource) Uses() []U {
 	for _, e := range r.uses {
 		out = append(out, decodeU(e))
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Cycle != out[j].Cycle {
-			return out[i].Cycle < out[j].Cycle
+	slices.SortFunc(out, func(a, b U) int {
+		if a.Cycle != b.Cycle {
+			return a.Cycle - b.Cycle
 		}
-		return out[i].Op < out[j].Op
+		return a.Op - b.Op
 	})
 	return out
 }
 
-// String renders the resource as "{A@0, B@2}" using opName for labels.
+// StringWith renders the resource as "{A@0, B@2}" using opName for labels.
+// Figure 3 traces render every live resource after every elementary pair,
+// so this appends bytes directly instead of going through fmt.
 func (r *Resource) StringWith(opName func(int) string) string {
-	var b strings.Builder
-	b.WriteByte('{')
+	b := make([]byte, 0, 2+8*len(r.uses))
+	b = append(b, '{')
 	for i, u := range r.Uses() {
 		if i > 0 {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "%s@%d", opName(u.Op), u.Cycle)
+		b = append(b, opName(u.Op)...)
+		b = append(b, '@')
+		b = strconv.AppendInt(b, int64(u.Cycle), 10)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return string(append(b, '}'))
 }
 
 // compat reports whether two usages may coexist in one synthesized resource:

@@ -1,7 +1,7 @@
 // Package parallel provides the bounded worker pool that fans the
 // repository's independent units of work — per-loop scheduling,
-// forbidden-matrix rows, pair-compatibility scans, branch-and-bound
-// subtrees — across GOMAXPROCS goroutines.
+// forbidden-matrix rows, branch-and-bound subtrees — across GOMAXPROCS
+// goroutines.
 //
 // Determinism contract: workers write results into caller-indexed slots
 // and the caller merges them in index order, so any computation whose

@@ -152,7 +152,7 @@ func Reduce(m *Machine, obj Objective) (*Reduction, error) {
 }
 
 // ReduceParallel is Reduce with the reduction pipeline's independent
-// inner work (forbidden-matrix rows, pair-compatibility scans) fanned
+// inner work (forbidden-matrix rows, including Verify's) fanned
 // across a worker pool of the given size; workers < 1 selects GOMAXPROCS
 // and workers == 1 is the serial reference path. The Result is identical
 // at every worker count.
