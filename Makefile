@@ -2,7 +2,8 @@
 #
 #   make             build + test
 #   make check       build + vet + test + race + fuzz-smoke + serve-smoke
-#                    + perfbench-check (tier-1, everything CI runs)
+#                    + perfbench-check + crossover (tier-1, everything CI
+#                    runs)
 #   make verify      alias for check
 #   make fuzz-smoke  run each native fuzz target briefly (10s apiece)
 #   make serve-smoke build mdserve and drive it end to end over TCP
@@ -135,7 +136,8 @@ bench-repr:
 # The committed representation-crossover frontier: query.Select's
 # deterministic calibration over real machines and seeded random strata.
 # No wall clock anywhere (counted probe work only), so regeneration on
-# any host must reproduce the committed bytes.
+# any host must reproduce the committed bytes; `make check` runs it, so
+# CI gates the committed frontier.
 crossover:
 	$(GO) run ./cmd/paper -crossover CROSSOVER.md
 	@git diff --quiet -- CROSSOVER.md || { echo "CROSSOVER.md: regeneration changed the committed report" >&2; exit 1; }
@@ -196,7 +198,7 @@ serve-smoke:
 perfbench-check:
 	cd perfbench && $(GO) vet . && $(GO) test .
 
-check: build vet test race fuzz-smoke serve-smoke perfbench-check
+check: build vet test race fuzz-smoke serve-smoke perfbench-check crossover
 
 verify: check
 

@@ -16,11 +16,12 @@ import (
 // runBenchSched writes the scheduler wall-time report (BENCH_sched.json,
 // benchReport schema): the full IMS loop corpus scheduled once per Table
 // 6 representation (original vs reduced x discrete vs bitvector), timing
-// the range-query slot scan (serial_ns — the column benchgate gates)
-// against the naive per-cycle CheckWithAlt scan (parallel_ns), with
-// speedup = naive/range. Both scans produce byte-identical schedules
-// (pinned by TestRangeScanMatchesNaiveScan), so the comparison times
-// pure query-strategy differences. Each measurement is the best of
+// the backend's range-query slot scan (serial_ns — the column benchgate
+// gates) against the per-cycle CheckWithAlt scan over the same factory
+// wrapped in query.PerCycle (parallel_ns), with speedup = naive/range.
+// Both produce byte-identical schedules (pinned by the sched package's
+// range-vs-per-cycle differential tests), so the comparison times pure
+// query-strategy differences. Each measurement is the best of
 // benchReps runs. The per-representation probe statistics ride along:
 // check_equiv_per_decision is the naive-equivalent probe count per
 // scheduling decision and range_work_per_decision the packed words or
@@ -47,25 +48,27 @@ func runBenchSched(path string, workers, loopLimit int) error {
 		// rebuilt; zero allocations per loop in steady state), the same
 		// path the throughput benchmark ships. Schedules are identical to
 		// fresh per-loop modules (TestArenaMatchesFreshCorpus).
-		runCorpus := func(cfg sched.Config) {
-			for _, res := range sched.ScheduleBatchArena(loops, m, factory, cfg, workers) {
+		perCycle := func(ii int) query.Module { return query.PerCycle(factory(ii)) }
+		cfg := sched.Config{BudgetRatio: 6}
+		runCorpus := func(f sched.ModuleFactory) {
+			for _, res := range sched.ScheduleBatchArena(loops, m, f, cfg, workers) {
 				if !res.OK {
 					panic(fmt.Sprintf("bench-sched: %s failed to schedule a corpus loop", r.Label))
 				}
 			}
 		}
-		// One untimed pass per scan mode first, so the shared compiled-table
+		// One untimed pass per side first, so the shared compiled-table
 		// cache and the allocator are warm before either side is measured.
-		runCorpus(sched.Config{BudgetRatio: 6})
-		runCorpus(sched.Config{BudgetRatio: 6, NaiveScan: true})
+		runCorpus(factory)
+		runCorpus(perCycle)
 		// More reps than the reduction bench: the two sides differ by a
 		// modest constant factor, so best-of needs enough samples for the
 		// minimum to shed scheduler-external interference on both sides.
 		const schedReps = 5 * benchReps
 		var rangeNS, naiveNS int64
 		for i := 0; i < schedReps; i++ {
-			rangeNS = minNZ(rangeNS, timeIt(func() { runCorpus(sched.Config{BudgetRatio: 6}) }))
-			naiveNS = minNZ(naiveNS, timeIt(func() { runCorpus(sched.Config{BudgetRatio: 6, NaiveScan: true}) }))
+			rangeNS = minNZ(rangeNS, timeIt(func() { runCorpus(factory) }))
+			naiveNS = minNZ(naiveNS, timeIt(func() { runCorpus(perCycle) }))
 		}
 
 		// One instrumented serial pass for the probe statistics: capture
@@ -80,7 +83,7 @@ func runBenchSched(path string, workers, loopLimit int) error {
 				ctrs = append(ctrs, mod.Counters())
 				return mod
 			}
-			res := sched.Schedule(g, m, wrapped, sched.Config{BudgetRatio: 6})
+			res := sched.Schedule(g, m, wrapped, cfg)
 			decisions += res.Decisions
 			for _, c := range ctrs {
 				checkEquiv += c.CheckCalls + c.FirstFreeCycles

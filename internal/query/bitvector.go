@@ -35,10 +35,10 @@ type Bitvector struct {
 	wordBits int
 	cycMask  uint64 // low nRes bits
 
-	// packed[op][alignment], sorted by word: the table placed a cycles
-	// into its base word, so a probe at cycle t ANDs packed[op][t%k]
-	// word-aligned against the reserved words starting at t/k. Linear
-	// tables grow reserved[w] (covering cycles [w*k, (w+1)*k)) on demand.
+	// Linear: packed[op][alignment], sorted by word: the table placed a
+	// cycles into its base word, so a probe at cycle t ANDs
+	// packed[op][t%k] word-aligned against the reserved words starting at
+	// t/k. reserved[w] (covering cycles [w*k, (w+1)*k)) grows on demand.
 	packed   [][][]packedWord
 	reserved []uint64
 
@@ -53,23 +53,19 @@ type Bitvector struct {
 	// backing table (mirror for modulo, reserved for linear) is non-zero.
 	// It is maintained on every table mutation and lets range scans answer
 	// "this candidate's whole word window is free" in O(1) instead of
-	// ANDing empty words. noSummary disables the fast path (differential
-	// tests pin it byte-identical to the plain word scan).
-	occ       []uint64
-	noSummary bool
+	// ANDing empty words; FirstFreeSkips counts the candidates it answers.
+	occ []uint64
 
 	// rows backs the bit-parallel verdict scan (see verdict.go): one
 	// cycle-bitmap of rowW words per resource, flat. Modulo tables keep
 	// three images (bit p == busy(p mod II) for p in [0, 3*II)) so any
 	// window read stays in bounds; linear tables map bit t to cycle t and
 	// grow in step with reserved. Maintained by the same mutations that
-	// maintain mirror/reserved; noVerdict falls the range scans back to
-	// the per-candidate word scan. altVerdict is the FirstFreeWithAlt
+	// maintain mirror/reserved. altVerdict is the FirstFreeWithAlt
 	// scratch holding one verdict word per alternative (sized for the
 	// largest group at construction, so scans allocate nothing).
 	rows       []uint64
 	rowW       int
-	noVerdict  bool
 	altVerdict []uint64
 
 	// Alternative-union packed words for the fast check-with-alt path
@@ -118,9 +114,8 @@ func NewBitvector(e *resmodel.Expanded, k, wordBits, ii int) (*Bitvector, error)
 		met:     NewModuleObs("bitvector"),
 	}
 	pt := b.c.packsFor(nRes, k)
-	b.packed = pt.packed
+	b.packed, b.packed0 = pt.packed, pt.packed0
 	if ii > 0 {
-		b.packed0 = pt.packed0
 		b.mirror = make([]uint64, (2*ii+k-1)/k+2)
 		b.occ = make([]uint64, (len(b.mirror)+63)/64)
 		b.rowW = (3*ii+63)/64 + 1
@@ -139,12 +134,6 @@ func NewBitvector(e *resmodel.Expanded, k, wordBits, ii int) (*Bitvector, error)
 	b.altVerdict = make([]uint64, maxGroup)
 	return b, nil
 }
-
-// SetSummaryScan toggles the occupancy-summary fast path of the range
-// scans (enabled by default). Schedules and probe accounting are
-// byte-identical either way; the toggle exists for the differential
-// tests and for benchmarking the scan against the plain word loop.
-func (b *Bitvector) SetSummaryScan(on bool) { b.noSummary = !on }
 
 // MaxCyclesPerWord returns the densest legal packing for a machine with
 // numResources resources in a word of wordBits bits, or 0 if even one

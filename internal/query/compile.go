@@ -32,15 +32,16 @@ type compiled struct {
 	packs  map[int]*packedTables
 }
 
-// packedTables is the k-cycles-per-word packing of a compiled table:
-// per-op per-alignment words (alignment a places the table a cycles into
-// its base word, so a query at cycle t probes word-aligned against the
-// reserved table with no per-candidate shifting). For modulo tables
-// packed0 aliases the alignment-0 packing — the word every Check/Assign
-// starts from. Read-only after construction.
+// packedTables is the k-cycles-per-word packing of a compiled table.
+// Linear tables get per-op per-alignment words (alignment a places the
+// table a cycles into its base word, so a query at cycle t probes
+// word-aligned against the reserved table with no per-candidate
+// shifting). Modulo tables need only the alignment-0 packing: every
+// Check/Assign starts from it and reads its words through the mirror.
+// Read-only after construction.
 type packedTables struct {
-	packed0 [][]packedWord   // modulo: packed[op][0]
-	packed  [][][]packedWord // packed[op][alignment]
+	packed0 [][]packedWord   // modulo: packed0[op]
+	packed  [][][]packedWord // linear: packed[op][alignment]
 }
 
 // compiledCacheMax bounds the memoized compilations; schedulers revisit
@@ -96,19 +97,19 @@ func (c *compiled) packsFor(nRes, k int) *packedTables {
 	if pt, ok := c.packs[k]; ok {
 		return pt
 	}
-	pt := &packedTables{
-		packed: make([][][]packedWord, len(c.uses)),
-	}
-	for oi := range c.uses {
-		pt.packed[oi] = make([][]packedWord, k)
-		for a := 0; a < k; a++ {
-			pt.packed[oi][a] = packUses(c.uses[oi], nRes, k, a)
-		}
-	}
+	pt := &packedTables{}
 	if c.ii > 0 {
 		pt.packed0 = make([][]packedWord, len(c.uses))
 		for oi := range c.uses {
-			pt.packed0[oi] = pt.packed[oi][0]
+			pt.packed0[oi] = packUses(c.uses[oi], nRes, k, 0)
+		}
+	} else {
+		pt.packed = make([][][]packedWord, len(c.uses))
+		for oi := range c.uses {
+			pt.packed[oi] = make([][]packedWord, k)
+			for a := 0; a < k; a++ {
+				pt.packed[oi][a] = packUses(c.uses[oi], nRes, k, a)
+			}
 		}
 	}
 	if c.packs == nil {

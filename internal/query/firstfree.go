@@ -6,17 +6,17 @@ import "fmt"
 // of probing candidate cycles one Check at a time, a range query answers
 // "what is the first contention-free cycle in [lo, hi]?" in a single
 // call. Both reserved-table representations implement it — the bitvector
-// module word-parallel (one pass over the packed reservation words rules
-// out up to K candidate cycles at a time), the discrete module by
-// row-scanning past the conflicting usage instead of re-probing cycle by
-// cycle. Schedulers detect the capability by type assertion; modules
-// that only support per-cycle queries (the automaton PairModule) keep
-// the plain Module interface.
+// module bit-parallel (one cycle-bitmap window read per usage rules out
+// up to 64 candidate cycles at a time, see verdict.go), the discrete
+// module by row-scanning past the conflicting usage instead of
+// re-probing cycle by cycle. Schedulers detect the capability by type
+// assertion; modules without it (or wrapped in PerCycle) are probed one
+// Check/CheckWithAlt at a time.
 //
 // Both functions answer exactly what the equivalent naive loop over
 // Check/CheckWithAlt answers — same first feasible cycle, same
-// alternative-group tie-break — so a scheduler switching between the two
-// scans produces byte-identical schedules.
+// alternative-group tie-break — so a scheduler produces byte-identical
+// schedules whether or not its module answers range queries.
 type RangeQuerier interface {
 	// FirstFree returns the smallest cycle in [lo, hi] at which op can be
 	// scheduled without contention, like probing Check(op, cycle) for
@@ -53,6 +53,21 @@ func FirstFreeWithAltNaive(m Module, origOp, lo, hi int) (int, int, bool) {
 	return -1, 0, false
 }
 
+// PerCycle wraps m so that it answers only per-cycle queries: the
+// wrapper hides RangeQuerier, so every scheduler slot scan over it falls
+// back to one Check/CheckWithAlt probe per candidate cycle — the loop
+// FirstFreeNaive and FirstFreeWithAltNaive spell out — while AltGroupOf
+// is forwarded because IMS and the exact scheduler require it. It is the
+// per-cycle oracle the range scans are tested and benchmarked against;
+// m must implement AltGrouper, as every module in this package and
+// automaton.PairModule do.
+func PerCycle(m Module) Module { return perCycle{Module: m, AltGrouper: m.(AltGrouper)} }
+
+type perCycle struct {
+	Module
+	AltGrouper
+}
+
 // RangeProbes returns how many Check probes the naive FirstFree loop
 // would have issued: one per candidate up to and including the hit, or
 // the whole range on a miss. It is exported so range-capable backends
@@ -85,7 +100,7 @@ func RangeProbesAlt(lo, hi, cycle, altIdx, group int, ok bool) int64 {
 	return int64(hi-lo+1) * int64(group)
 }
 
-// --- Bitvector: word-parallel range scan ---
+// --- Bitvector: bit-parallel range scan ---
 
 // FirstFree implements RangeQuerier.
 func (b *Bitvector) FirstFree(op, lo, hi int) (int, bool) {
@@ -109,14 +124,7 @@ func (b *Bitvector) firstFree(op, lo, hi int) (int, bool) {
 		b.ctr.FirstFreeWork++
 		return 0, false
 	}
-	hiEff := b.effectiveHi(lo, hi)
-	if !b.noVerdict {
-		if i := b.verdictFree(op, lo, hiEff-lo+1); i >= 0 {
-			return lo + i, true
-		}
-		return 0, false
-	}
-	if i := b.scanFree(op, lo, hiEff-lo+1); i >= 0 {
+	if i := b.verdictFree(op, lo, b.effectiveHi(lo, hi)-lo+1); i >= 0 {
 		return lo + i, true
 	}
 	return 0, false
@@ -130,113 +138,6 @@ func (b *Bitvector) effectiveHi(lo, hi int) int {
 		return lo + b.ii - 1
 	}
 	return hi
-}
-
-// scanFree returns the offset in [0, L) of the first candidate cycle
-// t0+i at which op fits, or -1. The candidate at cycle t probes the
-// alignment t%k packing of op's table — the table pre-shifted t%k
-// cycles into its base word — so every probe is a word-aligned AND
-// against the reserved words starting at t/k: no per-candidate shifting
-// or division, and the word index and alignment advance incrementally
-// as the candidate slides. A candidate dies at its first conflicting
-// word, exactly like Check; each packed word ANDed is one work unit.
-//
-// Before the word loop, a candidate spanning two or more packed words
-// consults the occupancy summary: if every backing word in the
-// candidate's window is zero (occAny over [first, last] packed word),
-// the candidate is free without ANDing anything — one work unit is
-// charged for the summary probe (the same cost as the single AND a
-// one-word table pays) and the skip is counted in FirstFreeSkips. A
-// non-zero summary proves nothing about the candidate's specific bits,
-// so the scan falls through to the word loop; the summary probe then
-// overlaps with the first word's AND and is not charged separately.
-// The occ invariant (bit set iff word non-zero) makes the fast path
-// answer exactly what the word loop would: summary-free means every
-// word ANDs to zero, so schedules and FirstFreeCycles are untouched.
-func (b *Bitvector) scanFree(op, t0, L int) int {
-	pk := b.packed[op]
-	work := int64(0)
-	if b.ii > 0 {
-		mirror := b.mirror
-		s := b.modCycle(t0)
-		q, a := s/b.k, s%b.k
-		for i := 0; i < L; i++ {
-			pkA := pk[a]
-			if !b.noSummary && len(pkA) >= 2 &&
-				!b.occAny(q+pkA[0].Word, q+pkA[len(pkA)-1].Word) {
-				work++
-				b.ctr.FirstFreeWork += work
-				b.ctr.FirstFreeSkips++
-				return i
-			}
-			free := true
-			for _, pw := range pkA {
-				work++
-				// The mirror keeps cycles [0, 2*II) in sync, so a table
-				// reaching past II reads the second image — no wraparound.
-				if mirror[q+pw.Word]&pw.Bits != 0 {
-					free = false
-					break
-				}
-			}
-			if free {
-				b.ctr.FirstFreeWork += work
-				return i
-			}
-			if s++; s == b.ii {
-				s, q, a = 0, 0, 0
-			} else if a++; a == b.k {
-				a = 0
-				q++
-			}
-		}
-		b.ctr.FirstFreeWork += work
-		return -1
-	}
-	reserved := b.reserved
-	q, a := t0/b.k, t0%b.k
-	for i := 0; i < L; i++ {
-		pkA := pk[a]
-		if !b.noSummary && len(pkA) >= 2 {
-			loW := q + pkA[0].Word
-			hiW := q + pkA[len(pkA)-1].Word
-			if hiW >= len(reserved) {
-				hiW = len(reserved) - 1
-			}
-			// Words at or beyond the table end are trivially free, so a
-			// window starting past the end skips without consulting occ.
-			if loW > hiW || !b.occAny(loW, hiW) {
-				work++
-				b.ctr.FirstFreeWork += work
-				b.ctr.FirstFreeSkips++
-				return i
-			}
-		}
-		free := true
-		for _, pw := range pkA {
-			work++
-			wi := q + pw.Word
-			if wi >= len(reserved) {
-				// Words are sorted: this word and every later one lie
-				// beyond the reserved table, where every cycle is free.
-				break
-			}
-			if reserved[wi]&pw.Bits != 0 {
-				free = false
-				break
-			}
-		}
-		if free {
-			b.ctr.FirstFreeWork += work
-			return i
-		}
-		if a++; a == b.k {
-			a = 0
-			q++
-		}
-	}
-	b.ctr.FirstFreeWork += work
-	return -1
 }
 
 // FirstFreeWithAlt implements RangeQuerier.
@@ -263,43 +164,18 @@ func (b *Bitvector) firstFreeAlt(group []int, lo, hi int) (int, int, int, bool) 
 		return -1, 0, 0, false
 	}
 	hiEff := b.effectiveHi(lo, hi)
-	// Candidates are processed in chunks so a group whose early
-	// alternatives are congested does not scan the whole range before a
-	// later alternative gets a chance near lo.
+	// Candidates are processed in 64-cycle chunks, one verdict word per
+	// alternative each, so a group whose early alternatives are congested
+	// does not scan the whole range before a later alternative gets a
+	// chance near lo.
 	const chunk = 64
 	for t0 := lo; t0 <= hiEff; t0 += chunk {
 		L := chunk
 		if t0+L-1 > hiEff {
 			L = hiEff - t0 + 1
 		}
-		if !b.noVerdict {
-			if op, off, ai, ok := b.verdictAltChunk(group, t0, L); ok {
-				return op, t0 + off, ai, true
-			}
-			continue
-		}
-		// The earliest free cycle wins, ties broken by alternative-group
-		// order exactly as the naive CheckWithAlt loop breaks them. Since
-		// an earlier alternative keeps a tied cycle, each later
-		// alternative only needs the candidates strictly before the best
-		// hit so far — its share of the chunk shrinks as hits are found.
-		best, bestAlt, bestOp := -1, -1, -1
-		limit := L
-		for ai, op := range group {
-			if limit == 0 {
-				break
-			}
-			if b.c.selfConf[op] {
-				b.ctr.FirstFreeWork++ // the probe that discovers the fold
-				continue
-			}
-			if i := b.scanFree(op, t0, limit); i >= 0 {
-				best, bestAlt, bestOp = i, ai, op
-				limit = i
-			}
-		}
-		if best >= 0 {
-			return bestOp, t0 + best, bestAlt, true
+		if op, off, ai, ok := b.verdictAltChunk(group, t0, L); ok {
+			return op, t0 + off, ai, true
 		}
 	}
 	return -1, 0, 0, false

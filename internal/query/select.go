@@ -14,9 +14,9 @@ import (
 // constraints; the selector turns that comparison into a per-machine
 // decision by running the same short synthetic probe trace on every
 // feasible backend and picking the one with the lowest counted work per
-// naive-equivalent probe. Costs come from the modules' own work
-// counters — never wall-clock — so the choice is identical on every
-// host, at every worker count, and across reruns.
+// probe. Costs come from the modules' own work counters — never
+// wall-clock — so the choice is identical on every host, at every worker
+// count, and across reruns.
 
 // BackendOpts carries the construction knobs a backend may consume.
 // Zero values mean "backend default" (wordBits 64, k packed to
@@ -104,7 +104,7 @@ type BackendCost struct {
 	Backend    string  `json:"backend"`
 	Feasible   bool    `json:"feasible"`
 	Reason     string  `json:"reason,omitempty"` // why infeasible
-	Probes     int64   `json:"probes,omitempty"` // naive-equivalent probes + basic calls
+	Probes     int64   `json:"probes,omitempty"` // basic-function calls over the trace
 	Work       int64   `json:"work,omitempty"`   // counted work units over the trace
 	CostPerOp  float64 `json:"cost_per_op,omitempty"`
 	States     int     `json:"states,omitempty"` // FSA interned states (fwd+rev)
@@ -258,15 +258,6 @@ func measure(e *resmodel.Expanded, p Policy) *Calibration {
 				bc.Reason = err.Error()
 				break
 			}
-			// Calibrate the bitvector on the word-per-probe scan: the
-			// verdict scan charges per 64-candidate block, a different
-			// currency that would skew the cross-backend cost comparison
-			// (and perturb the committed CROSSOVER.md frontier) without
-			// changing any answer. Production modules returned by Select
-			// are fresh constructions with the verdict scan enabled.
-			if bv, ok := m.(*Bitvector); ok {
-				bv.SetVerdictScan(false)
-			}
 			steps := runTrace(m, e, o.II)
 			if ref == nil {
 				ref = steps
@@ -278,8 +269,8 @@ func measure(e *resmodel.Expanded, p Policy) *Calibration {
 			}
 			ctr := m.Counters()
 			bc.Feasible = true
-			bc.Work = ctr.TotalWork() + ctr.FirstFreeWork
-			bc.Probes = ctr.TotalCalls() + ctr.FirstFreeCycles
+			bc.Work = ctr.TotalWork()
+			bc.Probes = ctr.TotalCalls()
 			if bc.Probes > 0 {
 				bc.CostPerOp = float64(bc.Work) / float64(bc.Probes)
 			}
@@ -319,17 +310,19 @@ type traceStep struct {
 const traceSteps = 48
 
 // runTrace drives m through a fixed, seeded scheduling-like workload:
-// range queries (or their per-cycle fallback), assigns, spot checks and
-// frees, mimicking the list scheduler's mix. The linear congruential
-// generator makes the trace a pure function of the description, so
-// every backend sees the identical request sequence.
+// slot searches, assigns, spot checks and frees, mimicking the list
+// scheduler's mix. The linear congruential generator makes the trace a
+// pure function of the description, so every backend sees the identical
+// request sequence. Slot searches probe one CheckWithAlt per candidate
+// cycle even on range-capable backends: calibration charges every
+// backend in one currency, the paper's Table 6 work per check, instead
+// of comparing one backend's range-scan work units with another's.
 func runTrace(m Module, e *resmodel.Expanded, ii int) []traceStep {
 	rng := uint64(0x9E3779B97F4A7C15)
 	next := func(n int) int {
 		rng = rng*6364136223846793005 + 1442695040888963407
 		return int((rng >> 33) % uint64(n))
 	}
-	rq, hasRange := m.(RangeQuerier)
 	window := 63
 	if ii > 0 {
 		window = ii - 1
@@ -348,20 +341,7 @@ func runTrace(m Module, e *resmodel.Expanded, ii int) []traceStep {
 			lo = next(ii)
 			window = ii - 1
 		}
-		var (
-			op, cycle int
-			ok        bool
-		)
-		if hasRange {
-			op, cycle, ok = rq.FirstFreeWithAlt(origOp, lo, lo+window)
-		} else {
-			for t := lo; t <= lo+window; t++ {
-				if a, good := m.CheckWithAlt(origOp, t); good {
-					op, cycle, ok = a, t, true
-					break
-				}
-			}
-		}
+		op, cycle, ok := FirstFreeWithAltNaive(m, origOp, lo, lo+window)
 		steps = append(steps, traceStep{op: op, cycle: cycle, ok: ok})
 		if ok && m.Check(op, cycle) {
 			m.Assign(op, cycle, id)
@@ -369,10 +349,8 @@ func runTrace(m Module, e *resmodel.Expanded, ii int) []traceStep {
 			id++
 		}
 		// Spot checks inside the contended band: the exact searcher and
-		// the IMS slot scan both issue point probes that a range scan
-		// cannot amortize, and they dominate real query mixes (the
-		// paper's Table 6 metric is res-uses per check). Range hits and
-		// misses alone would overweight backends with good scans.
+		// the IMS slot scan both issue point probes, and they dominate
+		// real query mixes.
 		for j := 0; j < 2; j++ {
 			spotOp := next(len(e.Ops))
 			spot := front + next(6)

@@ -31,9 +31,8 @@ func selectFactory(e *resmodel.Expanded, rep string) ModuleFactory {
 // reduced PA-RISC description must produce byte-identical schedules on
 // the FSA, discrete and bitvector backends — sequentially and through
 // striped per-worker arenas at 1 and 8 workers — and the backends must
-// agree on every query-count statistic the auto-selector's cost model
-// normalizes by (calls and naive-equivalent range probes; only the work
-// per probe may differ).
+// agree on every query-count statistic (calls and naive-equivalent range
+// probes; only the work per probe may differ).
 func TestAcyclicCorpusBackendsIdentical(t *testing.T) {
 	m := machines.ByName("parisc")
 	red := core.Reduce(m.Expand(), core.Objective{Kind: core.KCycleWord, K: 64})

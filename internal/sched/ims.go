@@ -38,12 +38,6 @@ type Config struct {
 	BudgetRatio int
 	// MaxII caps the initiation-interval search; 0 derives a safe cap.
 	MaxII int
-	// NaiveScan disables the range-query slot scan even when the module
-	// supports it, probing candidate cycles one CheckWithAlt at a time.
-	// Schedules are byte-identical either way (the range scan preserves
-	// probe order exactly); the flag exists for differential tests and
-	// for benchmarking the scan strategies against each other.
-	NaiveScan bool
 }
 
 // DefaultConfig returns the paper's configuration (budget 6N).
@@ -82,13 +76,13 @@ type Result struct {
 	// the scheduler issues 4.74 check queries per scheduling decision").
 	// Under the range-query scan this counts the per-cycle probes the
 	// equivalent naive loop would have issued, so the statistic is
-	// identical whichever scan strategy answered the search.
+	// identical whether or not the module answers range queries.
 	ChecksPerDecision []int
 	// ScanWidths records, for every scheduling decision, how many
 	// candidate cycles the time-slot search covered: slot-estart+1 when a
 	// slot was found, the full II-wide window otherwise. A width above 1
-	// is a window the word-parallel scan can rule out in fewer passes
-	// than the naive per-cycle probe.
+	// is a window the range scan can rule out in fewer passes than the
+	// naive per-cycle probe.
 	ScanWidths []int
 }
 
@@ -291,10 +285,7 @@ func (s *state) attempt(ii int, mod query.Module) bool {
 	g := s.g
 	n := len(g.Nodes)
 	s.ii, s.mod = ii, mod
-	s.rq = nil
-	if !s.cfg.NaiveScan {
-		s.rq, _ = mod.(query.RangeQuerier)
-	}
+	s.rq, _ = mod.(query.RangeQuerier)
 
 	// Every operation must have at least one alternative that does not
 	// fold onto itself at this II.

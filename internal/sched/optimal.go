@@ -50,10 +50,11 @@ import (
 // candidates per node by ascending residue, alternatives in group
 // order, exactly the sequence a naive CheckWithAlt loop probes. The
 // range-query scan (RangeQuerier.FirstFreeWithAlt) skips empty residues
-// without changing that sequence, so schedules are byte-identical under
-// Config.NaiveScan. The first node is pinned to residue 0: rotating a
-// modulo schedule by one cycle is an MRT symmetry, so the restriction
-// loses no solutions and also preserves infeasibility proofs.
+// without changing that sequence, so schedules are byte-identical on a
+// module wrapped in query.PerCycle. The first node is pinned to residue
+// 0: rotating a modulo schedule by one cycle is an MRT symmetry, so the
+// restriction loses no solutions and also preserves infeasibility
+// proofs.
 //
 // Parallelism reuses the exact-cover frontier machinery from
 // internal/core: the search always expands serially to a fixed depth
@@ -106,13 +107,9 @@ type OptimalConfig struct {
 	// pool (<= 1 runs them sequentially on the caller's module).
 	// Results are byte-identical at every setting.
 	Workers int
-	// NaiveScan disables the range-query candidate scan, probing one
-	// cycle at a time; schedules and search statistics are
-	// byte-identical either way (only query-module counters differ).
-	NaiveScan bool
 	// IMS configures the heuristic seed pass, whose schedule doubles as
 	// the fallback when MaxNodes is exhausted with the optimality gap
-	// still open. Its NaiveScan is overridden to match this config's.
+	// still open.
 	IMS Config
 }
 
@@ -188,7 +185,6 @@ type optRun struct {
 	g      *ddg.Graph
 	n      int
 	ii     int
-	naive  bool
 	order  []int   // position -> node, height desc, ties by index
 	w      []int64 // n*n all-pairs longest dependence path at this II
 	altOff []int32 // node -> [altOff[v], altOff[v+1]) into altBuf
@@ -283,13 +279,10 @@ type optState struct {
 // attach points the state at a run and module, growing buffers as
 // needed. Stale D entries need no clearing: every read is of a pair of
 // positions on the active path, which addNode rewrote on this descent.
-func (s *optState) attach(run *optRun, mod query.Module, naive bool) {
+func (s *optState) attach(run *optRun, mod query.Module) {
 	s.run = run
 	s.mod = mod
-	s.rq = nil
-	if !naive {
-		s.rq, _ = mod.(query.RangeQuerier)
-	}
+	s.rq, _ = mod.(query.RangeQuerier)
 	n := run.n
 	s.d = growInt64(s.d, n*n)
 	s.resid = intsZero(s.resid, n)
@@ -585,7 +578,6 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 	g := o.g
 	n := len(g.Nodes)
 	r.g, r.n, r.ii = g, n, ii
-	r.naive = o.cfg.NaiveScan
 
 	mod := o.moduleOf(ii)
 	ag, ok := mod.(query.AltGrouper)
@@ -625,7 +617,7 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 	buildW(r.w, g, ii)
 
 	st := &sc.st
-	st.attach(r, mod, r.naive)
+	st.attach(r, mod)
 	st.nodes = 0
 	st.limit = budget
 	st.found = false
@@ -657,7 +649,7 @@ func (o *optSearch) searchII(ii int, budget int64) (found, truncated bool, used 
 		parallel.ForEachState(ntasks, workers,
 			func() *optState {
 				w := new(optState)
-				w.attach(r, o.factory(ii), r.naive)
+				w.attach(r, o.factory(ii))
 				return w
 			},
 			func(w *optState, i int) {
@@ -709,13 +701,12 @@ func optimalInto(res *OptimalResult, g *ddg.Graph, m *resmodel.Machine, moduleOf
 	if cfg.MaxNodes <= 0 {
 		cfg.MaxNodes = DefaultOptimalNodes
 	}
-	cfg.IMS.NaiveScan = cfg.NaiveScan
 	n := len(g.Nodes)
 	resetResult(&res.Result, n)
 	res.Proven, res.Fallback = false, false
 	res.Nodes, res.InfeasibleIIs, res.Tasks = 0, 0, 0
 	ss := &sc.sched
-	// Seed with the IMS heuristic on the same modules and scan mode: its
+	// Seed with the IMS heuristic on the same modules: its
 	// schedule is the fallback, and when it achieves MII (or the search
 	// below proves every smaller II infeasible) it is itself the proven
 	// optimum. scheduleInto computes the MII fields as a side effect.

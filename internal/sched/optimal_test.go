@@ -88,7 +88,7 @@ func TestOptimalPropertyCorpus(t *testing.T) {
 // TestOptimalDeterministicAcrossWorkers is the satellite differential
 // test: the per-loop OptimalResults and the sched/query obs counter
 // totals are byte-identical at batch workers 1 and 8, under the range
-// scan and under Config.NaiveScan, at two budgets that force different
+// scan and on query.PerCycle modules, at two budgets that force different
 // proven/fallback mixtures. Additionally the
 // results themselves (schedules, node counts, outcomes) are identical
 // across the two scan modes — only query-module counters may differ,
@@ -114,13 +114,16 @@ func TestOptimalDeterministicAcrossWorkers(t *testing.T) {
 			for mi, naive := range []bool{false, true} {
 				cfg := DefaultOptimalConfig()
 				cfg.MaxNodes = bc.budget
-				cfg.NaiveScan = naive
+				f := factory
+				if naive {
+					f = perCycleFactory(factory)
+				}
 				var ref []OptimalResult
 				refSnap := obsRun(t, func() {
-					ref = OptimalBatch(loops, m, factory, cfg, 1)
+					ref = OptimalBatch(loops, m, f, cfg, 1)
 				})
 				gotSnap := obsRun(t, func() {
-					got := OptimalBatch(loops, m, factory, cfg, 8)
+					got := OptimalBatch(loops, m, f, cfg, 8)
 					for i := range loops {
 						if !reflect.DeepEqual(got[i], ref[i]) {
 							t.Fatalf("naive=%v workers=8 loop %d (%s): result differs\ngot: %+v\nref: %+v",

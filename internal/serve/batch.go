@@ -36,13 +36,6 @@ type BatchRequest struct {
 	// II selects a Modulo Reservation Table with II columns; 0 selects a
 	// linear reserved table.
 	II int `json:"ii,omitempty"`
-	// Scan selects how range queries (first_free, first_free_alt) and
-	// schedule-op slot scans are answered: "verdict" (default, the
-	// bit-parallel candidate-verdict scan), "words" (the word-at-a-time
-	// scan), or "naive" (the per-cycle reference loop). All three return
-	// identical results; the knob exposes the slower paths as live
-	// oracles for differential testing through the wire.
-	Scan string `json:"scan,omitempty"`
 	// Ops is the query sequence.
 	Ops []BatchOp `json:"ops"`
 }
@@ -192,28 +185,6 @@ func (s *Server) buildModule(me *machineEntry, use, rep string, k, wordBits, ii 
 		return nil, nil, "", "", errf(http.StatusBadRequest, "%v", err)
 	}
 	return e, sel, use, rep, nil
-}
-
-// normalizeScan validates the scan knob and applies it to a freshly
-// built module. "" and "verdict" keep the bit-parallel verdict scan
-// (the module default); "words" drops bitvector modules back to the
-// word-at-a-time scan; "naive" makes the executor route range queries
-// and schedule-op slot scans through the per-cycle reference loop.
-// Backends without a verdict/word distinction (discrete, fsa) are
-// unaffected except by the naive routing, so the knob composes with
-// every representation, including measured "auto".
-func normalizeScan(scan string, mod query.Module) (string, *httpError) {
-	switch scan {
-	case "":
-		scan = "verdict"
-	case "verdict", "words", "naive":
-	default:
-		return "", errf(http.StatusBadRequest, "bad scan %q (want verdict, words or naive)", scan)
-	}
-	if bv, ok := mod.(*query.Bitvector); ok {
-		bv.SetVerdictScan(scan == "verdict")
-	}
-	return scan, nil
 }
 
 // placed records where a live instance was scheduled so frees and id
@@ -387,8 +358,6 @@ type opExec struct {
 	rep      string             // requested representation (normalized; may be "auto")
 	backend  string             // concrete backend serving mod
 	pol      query.Policy       // module policy; schedule-op arenas re-select per II
-	scan     string             // normalized scan mode: "verdict", "words" or "naive"
-	naive    bool               // scan == "naive": per-cycle reference routing
 	ii       int
 	maxCycle int
 	live     map[int]placed
@@ -399,7 +368,7 @@ type opExec struct {
 	sa *sched.Arena
 }
 
-func newOpExec(e *resmodel.Expanded, m *resmodel.Machine, sel *query.Selection, rep, scan string, pol query.Policy, maxCycle int) *opExec {
+func newOpExec(e *resmodel.Expanded, m *resmodel.Machine, sel *query.Selection, rep string, pol query.Policy, maxCycle int) *opExec {
 	rq, _ := sel.Module.(query.RangeQuerier)
 	return &opExec{
 		e:        e,
@@ -409,8 +378,6 @@ func newOpExec(e *resmodel.Expanded, m *resmodel.Machine, sel *query.Selection, 
 		rep:      rep,
 		backend:  sel.Backend,
 		pol:      pol,
-		scan:     scan,
-		naive:    scan == "naive",
 		ii:       pol.II,
 		maxCycle: maxCycle,
 		live:     map[int]placed{},
@@ -475,14 +442,11 @@ func (x *opExec) execSchedule(i int, op *BatchOp, res *opResult) *httpError {
 		return errf(http.StatusBadRequest, "op %d: invalid loop: %v", i, err)
 	}
 	if x.sa == nil {
-		e, pol, scan := x.e, x.pol, x.scan
+		e, pol := x.e, x.pol
 		x.sa = sched.NewArena(func(ii int) query.Module {
 			p := pol
 			p.II = ii
 			if sel, err := query.Select(e, p); err == nil {
-				if bv, ok := sel.Module.(*query.Bitvector); ok {
-					bv.SetVerdictScan(scan == "verdict")
-				}
 				return sel.Module
 			}
 			// Selection cannot fail for the policies buildModule admits
@@ -500,7 +464,6 @@ func (x *opExec) execSchedule(i int, op *BatchOp, res *opResult) *httpError {
 			cfg.MaxNodes = scheduleDefaultNodes
 		}
 		cfg.MaxII = scheduleMaxII
-		cfg.NaiveScan = x.naive
 		r := x.sa.Optimal(g, x.m, cfg)
 		res.hasOK, res.ok = true, r.OK
 		res.hasSched, res.ii, res.mii = true, r.II, r.MII
@@ -509,7 +472,6 @@ func (x *opExec) execSchedule(i int, op *BatchOp, res *opResult) *httpError {
 	case "ims":
 		cfg := sched.DefaultConfig()
 		cfg.MaxII = scheduleMaxII
-		cfg.NaiveScan = x.naive
 		r := x.sa.Schedule(g, x.m, cfg)
 		res.hasOK, res.ok = true, r.OK
 		res.hasSched, res.ii, res.mii = true, r.II, r.MII
@@ -590,13 +552,7 @@ func (x *opExec) exec(i int, op *BatchOp, res *opResult) *httpError {
 		if herr := x.checkRange(i, op); herr != nil {
 			return herr
 		}
-		var cycle int
-		var ok bool
-		if x.naive {
-			cycle, ok = query.FirstFreeNaive(x.mod, op.Op, op.Lo, op.Hi)
-		} else {
-			cycle, ok = x.rq.FirstFree(op.Op, op.Lo, op.Hi)
-		}
+		cycle, ok := x.rq.FirstFree(op.Op, op.Lo, op.Hi)
 		res.hasOK = true
 		res.ok = ok
 		if ok {
@@ -613,13 +569,7 @@ func (x *opExec) exec(i int, op *BatchOp, res *opResult) *httpError {
 		if herr := x.checkRange(i, op); herr != nil {
 			return herr
 		}
-		var alt, cycle int
-		var ok bool
-		if x.naive {
-			alt, cycle, ok = query.FirstFreeWithAltNaive(x.mod, op.Op, op.Lo, op.Hi)
-		} else {
-			alt, cycle, ok = x.rq.FirstFreeWithAlt(op.Op, op.Lo, op.Hi)
-		}
+		alt, cycle, ok := x.rq.FirstFreeWithAlt(op.Op, op.Lo, op.Hi)
 		res.hasOK = true
 		res.ok = ok
 		if ok {
@@ -718,12 +668,8 @@ func (s *Server) execBatch(r *http.Request, me *machineEntry, req *BatchRequest)
 	if herr != nil {
 		return nil, herr
 	}
-	scan, herr := normalizeScan(req.Scan, sel.Module)
-	if herr != nil {
-		return nil, herr
-	}
 	pol := query.Policy{Representation: rep, II: req.II, K: req.K, WordBits: req.WordBits}
-	x := newOpExec(e, me.machineFor(use), sel, rep, scan, pol, s.cfg.MaxCycle)
+	x := newOpExec(e, me.machineFor(use), sel, rep, pol, s.cfg.MaxCycle)
 	results := make([]BatchResult, 0, len(req.Ops))
 	var res opResult
 	for i := range req.Ops {

@@ -10,9 +10,13 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/ddg"
+	"repro/internal/machines"
 	"repro/internal/mdl"
 	"repro/internal/query"
 	"repro/internal/resmodel"
+	"repro/internal/sched"
 )
 
 // batchCase is one differential configuration: a representation over a
@@ -110,7 +114,8 @@ func genSequence(rng *rand.Rand, e *resmodel.Expanded, probe query.Module, ii in
 // batch executor's call pattern (assign re-checks before assigning,
 // assign_free re-probes schedulability, evicted lists are copied), so
 // both results and work counters are directly comparable to the served
-// response.
+// response. A module without range support (query.PerCycle) answers the
+// range ops through the per-cycle reference loops.
 func replayOps(mod query.Module, ops []BatchOp) []BatchResult {
 	results := make([]BatchResult, 0, len(ops))
 	for _, op := range ops {
@@ -126,14 +131,26 @@ func replayOps(mod query.Module, ops []BatchOp) []BatchResult {
 			}
 			results = append(results, res)
 		case "first_free":
-			cycle, ok := mod.(query.RangeQuerier).FirstFree(op.Op, op.Lo, op.Hi)
+			var cycle int
+			var ok bool
+			if rq, isRange := mod.(query.RangeQuerier); isRange {
+				cycle, ok = rq.FirstFree(op.Op, op.Lo, op.Hi)
+			} else {
+				cycle, ok = query.FirstFreeNaive(mod, op.Op, op.Lo, op.Hi)
+			}
 			res := BatchResult{OK: &ok}
 			if ok {
 				res.Cycle = &cycle
 			}
 			results = append(results, res)
 		case "first_free_alt":
-			alt, cycle, ok := mod.(query.RangeQuerier).FirstFreeWithAlt(op.Op, op.Lo, op.Hi)
+			var alt, cycle int
+			var ok bool
+			if rq, isRange := mod.(query.RangeQuerier); isRange {
+				alt, cycle, ok = rq.FirstFreeWithAlt(op.Op, op.Lo, op.Hi)
+			} else {
+				alt, cycle, ok = query.FirstFreeWithAltNaive(mod, op.Op, op.Lo, op.Hi)
+			}
 			res := BatchResult{OK: &ok}
 			if ok {
 				res.AltOp = &alt
@@ -214,21 +231,22 @@ func sortedEvicted(results []BatchResult) []BatchResult {
 	return out
 }
 
-// TestDifferentialScanModes pins the scan knob through the wire: the
-// same random batch answered under scan "verdict" (default), "words"
-// and "naive" must return byte-identical results, on linear and modulo
-// bitvector modules over random machines, with a schedule op riding
-// along so the knob's sched.Config.NaiveScan routing is covered too.
-// Counters separate the modes: the verdict run reports the candidate
-// cycles charged (FirstFreeCycles) identically to the word scan — the
-// accounting invariant — while the naive run answers through per-cycle
-// Check calls and must report no range-scan work at all.
+// TestDifferentialScanModes pins the served range scans against the
+// per-cycle reference: the same random batch, with a schedule op riding
+// along, must be answered by the server (bitvector verdict scan or
+// discrete row scan) byte-identically to an in-process replay on a
+// query.PerCycle module — range queries through the naive Check loop,
+// the schedule op through a per-cycle arena — on linear and modulo
+// modules over random machines. The probe currency is conserved: the
+// served CheckCalls + FirstFreeCycles equal the Check probes the
+// per-cycle replay actually issued.
 func TestDifferentialScanModes(t *testing.T) {
 	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
 	rng := rand.New(rand.NewSource(1996))
+	verdictWords := int64(0)
 	for i := 0; i < 8; i++ {
 		m := resmodel.Random(rng, resmodel.DefaultRandomConfig())
 		m.Name = fmt.Sprintf("scan%d", i)
@@ -256,49 +274,124 @@ func TestDifferentialScanModes(t *testing.T) {
 			e := sess.expandedFor(c.use)
 			probe := localModule(t, e, c)
 			ops := genSequence(rand.New(rand.NewSource(rng.Int63())), e, probe, c.ii, true, 80)
-			ops = append(ops, BatchOp{Fn: "schedule", Scheduler: "ims",
-				Loop: &LoopSpec{Ops: []int{0, len(e.AltGroup) - 1},
-					Edges: []LoopEdge{{From: 0, To: 1, Delay: 1}}}})
-
+			loop := &ddg.Graph{Name: "serve",
+				Nodes: []ddg.Node{{Op: 0}, {Op: len(e.AltGroup) - 1}},
+				Edges: []ddg.Edge{{From: 0, To: 1, Delay: 1}}}
 			req := BatchRequest{Machine: m.Name, Use: c.use,
-				Representation: c.representation, II: c.ii, Ops: ops}
-			raws := make(map[string]json.RawMessage)
-			fulls := make(map[string]*BatchResponse)
-			for _, scan := range []string{"", "verdict", "words", "naive"} {
-				req.Scan = scan
-				raws[scan], fulls[scan] = postBatch(t, ts.URL, req)
+				Representation: c.representation, II: c.ii,
+				Ops: append(ops, BatchOp{Fn: "schedule", Scheduler: "ims",
+					Loop: &LoopSpec{Ops: []int{0, len(e.AltGroup) - 1},
+						Edges: []LoopEdge{{From: 0, To: 1, Delay: 1}}}})}
+			raw, full := postBatch(t, ts.URL, req)
+
+			naive := query.PerCycle(localModule(t, e, c))
+			want := replayOps(naive, ops)
+			cfg := sched.DefaultConfig()
+			cfg.MaxII = scheduleMaxII
+			r := sched.NewArena(func(ii int) query.Module {
+				return query.PerCycle(localModule(t, e, batchCase{c.use, c.representation, ii}))
+			}).Schedule(loop, sess.machineFor(c.use), cfg)
+			sr := BatchResult{OK: &r.OK, MII: &r.MII}
+			if r.OK {
+				sr.II, sr.Times, sr.Alts = &r.II, r.Time, r.Alt
 			}
-			for _, scan := range []string{"verdict", "words", "naive"} {
-				if !bytes.Equal(raws[scan], raws[""]) {
-					t.Fatalf("machine %d %+v: scan %q results differ from default\n%s\nvs\n%s",
-						i, c, scan, raws[scan], raws[""])
-				}
+			wantRaw, err := json.Marshal(append(want, sr))
+			if err != nil {
+				t.Fatal(err)
 			}
-			v, w, n := fulls["verdict"].Counters, fulls["words"].Counters, fulls["naive"].Counters
-			if v.FirstFreeCycles != w.FirstFreeCycles {
-				t.Errorf("machine %d %+v: verdict charged %d candidate cycles, word scan %d",
-					i, c, v.FirstFreeCycles, w.FirstFreeCycles)
+			if !bytes.Equal(raw, wantRaw) {
+				t.Fatalf("machine %d %+v: served results differ from the per-cycle replay\n%s\nvs\n%s",
+					i, c, raw, wantRaw)
 			}
-			if w.FirstFreeVerdictWords != 0 || n.FirstFreeVerdictWords != 0 {
-				t.Errorf("machine %d %+v: verdict words leaked into words/naive runs (%d, %d)",
-					i, c, w.FirstFreeVerdictWords, n.FirstFreeVerdictWords)
+			got, ref := full.Counters, naive.Counters()
+			if ref.FirstFreeCalls != 0 || ref.FirstFreeWithAltCalls != 0 {
+				t.Fatalf("machine %d %+v: per-cycle replay made range-scan calls", i, c)
 			}
-			if n.FirstFreeCalls != 0 {
-				t.Errorf("machine %d %+v: naive run made %d range-scan calls", i, c, n.FirstFreeCalls)
+			if got.CheckCalls+got.FirstFreeCycles != ref.CheckCalls {
+				t.Errorf("machine %d %+v: probe currency not conserved: served %d checks + %d range probes, per-cycle %d checks",
+					i, c, got.CheckCalls, got.FirstFreeCycles, ref.CheckCalls)
 			}
+			verdictWords += got.FirstFreeVerdictWords
 		}
 	}
+	if verdictWords == 0 {
+		t.Error("no served range query built a verdict word; the bit-parallel scan did not run")
+	}
+}
 
-	// The knob itself is validated.
-	body, _ := json.Marshal(BatchRequest{Machine: "scan0", Scan: "simd",
-		Ops: []BatchOp{{Fn: "check"}}})
-	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", bytes.NewReader(body))
-	if err != nil {
+// TestOldClientScanFieldIgnored pins wire compatibility for clients
+// written against the retired "scan" request field: /v1/batch and
+// POST /v1/sessions accept it with any value — the former modes
+// "words" and "naive" as well as the once-rejected "simd" — and answer
+// byte-identically to the same request without it.
+func TestOldClientScanFieldIgnored(t *testing.T) {
+	s := New(Config{})
+	if _, err := s.Register("ex", machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad scan value: status %d, want 400", resp.StatusCode)
+	h := s.Handler()
+	ops := []BatchOp{
+		{Fn: "assign_free", Op: 0, Cycle: 1, ID: 1},
+		{Fn: "first_free", Op: 1, Lo: 0, Hi: 11},
+		{Fn: "first_free_alt", Op: 0, Lo: -2, Hi: 7},
+		{Fn: "check_with_alt", Op: 1, Cycle: 2},
+		{Fn: "schedule", Loop: dotLoop()},
+		{Fn: "schedule", Scheduler: "ims", Loop: dotLoop()},
+	}
+	// withScan re-encodes a request with an extra top-level "scan" key.
+	withScan := func(req any, scan string) []byte {
+		b, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fields map[string]any
+		if err := json.Unmarshal(b, &fields); err != nil {
+			t.Fatal(err)
+		}
+		fields["scan"] = scan
+		if b, err = json.Marshal(fields); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	mustOK := func(rec *httptest.ResponseRecorder, what string) []byte {
+		t.Helper()
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", what, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+
+	batch := BatchRequest{Machine: "ex", Representation: "bitvector", II: 4, Ops: ops}
+	want := mustOK(post(t, h, "/v1/batch", batch), "batch without scan")
+	sessReq := SessionRequest{Machine: "ex", Representation: "bitvector", II: 4}
+	session := func(body any) (SessionInfo, []byte) {
+		t.Helper()
+		rec := post(t, h, "/v1/sessions", body)
+		si := *decodeBody[SessionInfo](t, rec)
+		mustOK(rec, "session create")
+		rec = post(t, h, "/v1/sessions/"+si.SessionID+"/ops", SessionOpsRequest{Ops: ops})
+		mustOK(rec, "session ops")
+		resp := decodeBody[SessionOpsResponse](t, rec)
+		si.SessionID, resp.SessionID = "", ""
+		b, err := json.Marshal(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return si, b
+	}
+	wantInfo, wantOps := session(sessReq)
+
+	for _, scan := range []string{"words", "naive", "simd"} {
+		got := mustOK(post(t, h, "/v1/batch", withScan(batch, scan)), "batch with scan "+scan)
+		if !bytes.Equal(got, want) {
+			t.Errorf("batch with scan %q differs from the request without it\n%s\nvs\n%s", scan, got, want)
+		}
+		info, opsResp := session(withScan(sessReq, scan))
+		if info != wantInfo || !bytes.Equal(opsResp, wantOps) {
+			t.Errorf("session with scan %q differs from the request without it\n%+v %s\nvs\n%+v %s",
+				scan, info, opsResp, wantInfo, wantOps)
+		}
 	}
 }
 

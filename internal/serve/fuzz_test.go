@@ -91,25 +91,25 @@ func FuzzServeBatchDecode(f *testing.F) {
 	f.Add(mustJSON(BatchRequest{Machine: "example", Representation: "bitvector", II: 4, Ops: []BatchOp{
 		{Fn: "first_free", Op: 1, Lo: -3, Hi: 5},
 	}}))
-	// Scan-mode seeds: the verdict default made explicit, the word-scan
-	// and naive oracles (range queries and a schedule op under each), and
-	// an invalid scan value.
-	f.Add(mustJSON(BatchRequest{Machine: "example", Representation: "bitvector", II: 4, Scan: "verdict", Ops: []BatchOp{
+	// Range-scan seeds: range queries on a modulo bitvector, range
+	// queries beside a schedule op, and a request carrying the retired
+	// "scan" field that old clients may still send.
+	f.Add(mustJSON(BatchRequest{Machine: "example", Representation: "bitvector", II: 4, Ops: []BatchOp{
 		{Fn: "assign_free", Op: 0, Cycle: 1, ID: 1},
 		{Fn: "first_free", Op: 1, Lo: 0, Hi: 11},
 		{Fn: "first_free_alt", Op: 0, Lo: -2, Hi: 7},
 	}}))
-	f.Add(mustJSON(BatchRequest{Machine: "example", Representation: "bitvector", Scan: "words", Ops: []BatchOp{
+	f.Add(mustJSON(BatchRequest{Machine: "example", Representation: "bitvector", Ops: []BatchOp{
 		{Fn: "assign", Op: 0, Cycle: 2, ID: 1},
 		{Fn: "first_free", Op: 0, Lo: 0, Hi: 12},
 		{Fn: "schedule", Scheduler: "ims", Loop: &LoopSpec{Ops: []int{0}}},
 	}}))
-	f.Add(mustJSON(BatchRequest{Machine: "example", Scan: "naive", Ops: []BatchOp{
+	f.Add(mustJSON(BatchRequest{Machine: "example", Ops: []BatchOp{
 		{Fn: "first_free", Op: 0, Lo: 0, Hi: 12},
 		{Fn: "first_free_alt", Op: 0, Lo: 3, Hi: 9},
 		{Fn: "schedule", Loop: &LoopSpec{Ops: []int{0, 1}}},
 	}}))
-	f.Add(mustJSON(BatchRequest{Machine: "example", Scan: "simd", Ops: []BatchOp{{Fn: "check"}}}))
+	f.Add([]byte(`{"machine":"example","scan":"simd","ops":[{"fn":"check"}]}`))
 	f.Add(mustJSON(BatchRequest{Machine: "example", Ops: []BatchOp{{Fn: "first_free", Op: 0, Lo: 9, Hi: 2}}}))
 	f.Add(mustJSON(BatchRequest{Machine: "example", Ops: []BatchOp{{Fn: "first_free", Op: 0, Lo: -1, Hi: 5}}}))
 	f.Add(mustJSON(BatchRequest{Machine: "example", II: 3, Ops: []BatchOp{{Fn: "first_free_alt", Op: 0, Lo: 0, Hi: 1 << 40}}}))
@@ -204,18 +204,18 @@ func FuzzServeSessionStream(f *testing.F) {
 	f.Add([]byte{0xff, 0xfe, 0x00, 0x0a})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Rotate the session's representation and scan mode by input
-		// length so the stream contract is fuzzed over the FSA backend
-		// and the verdict/words/naive scan paths too, while corpus replay
-		// stays deterministic per input.
+		// Rotate the session's representation by input length so the
+		// stream contract is fuzzed over the FSA backend and linear and
+		// modulo bitvector range scans too, while corpus replay stays
+		// deterministic per input.
 		body := `{"machine":"example","representation":"auto"}`
 		switch len(data) % 4 {
 		case 1:
 			body = `{"machine":"example","representation":"fsa"}`
 		case 2:
-			body = `{"machine":"example","representation":"bitvector","ii":3,"scan":"words"}`
+			body = `{"machine":"example","representation":"bitvector","ii":3}`
 		case 3:
-			body = `{"machine":"example","representation":"bitvector","scan":"naive"}`
+			body = `{"machine":"example","representation":"bitvector"}`
 		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions",

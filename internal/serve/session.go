@@ -79,9 +79,6 @@ type SessionRequest struct {
 	// II selects a Modulo Reservation Table with II columns; 0 selects a
 	// linear reserved table.
 	II int `json:"ii,omitempty"`
-	// Scan selects the range-scan mode for the session's lifetime:
-	// "verdict" (default), "words" or "naive" — see BatchRequest.Scan.
-	Scan string `json:"scan,omitempty"`
 }
 
 // SessionInfo describes one session (create response, GET info, list
@@ -188,11 +185,6 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, herr.status, herr.msg)
 		return
 	}
-	scan, herr := normalizeScan(req.Scan, sel.Module)
-	if herr != nil {
-		writeErr(w, herr.status, herr.msg)
-		return
-	}
 	s.expireSessions()
 	now := s.now()
 	pol := query.Policy{Representation: rep, II: req.II, K: req.K, WordBits: req.WordBits}
@@ -203,7 +195,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		rep:     rep,
 		ii:      req.II,
 		lock:    make(chan struct{}, 1),
-		x:       newOpExec(e, me.machineFor(use), sel, rep, scan, pol, s.cfg.MaxCycle),
+		x:       newOpExec(e, me.machineFor(use), sel, rep, pol, s.cfg.MaxCycle),
 	}
 	sess.lastUse.Store(now.UnixNano())
 	for range s.sessions.put(sess.id, sess) {
