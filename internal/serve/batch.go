@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	_ "repro/internal/automaton" // registers the "fsa" query backend
@@ -141,13 +142,41 @@ func (me *machineEntry) expandedFor(use string) *resmodel.Expanded {
 	return me.red.Reduced
 }
 
-// machineFor returns the machine matching expandedFor's variant, the
-// basis of the schedule op's resource-MII bound.
-func (me *machineEntry) machineFor(use string) *resmodel.Machine {
-	if use == "original" {
-		return me.src
+// arenaKey names the schedule-op arena pool of one module policy: the
+// fields of a request that shape the modules a scheduling arena builds
+// (the II is the scheduler's, not the request's).
+type arenaKey struct {
+	use, rep    string
+	k, wordBits int
+}
+
+// arenaPool returns the pool of schedule-op arenas for key, creating it
+// on first use. Arenas from one pool are interchangeable: an arena
+// resets every reused module, so a schedule is byte-identical whichever
+// arena (fresh or pooled) computes it.
+func (me *machineEntry) arenaPool(key arenaKey, e *resmodel.Expanded, pol query.Policy) *sync.Pool {
+	if p, ok := me.arenas.Load(key); ok {
+		return p.(*sync.Pool)
 	}
-	return me.red.Reduced.Machine()
+	p, _ := me.arenas.LoadOrStore(key, &sync.Pool{New: func() any { return newScheduleArena(e, pol) }})
+	return p.(*sync.Pool)
+}
+
+// newScheduleArena returns a scheduling arena whose per-II modules are
+// selected over e under pol.
+func newScheduleArena(e *resmodel.Expanded, pol query.Policy) *sched.Arena {
+	return sched.NewArena(func(ii int) query.Module {
+		p := pol
+		p.II = ii
+		if sel, err := query.Select(e, p); err == nil {
+			return sel.Module
+		}
+		// Selection cannot fail for the policies buildModule admits
+		// here at any II (the fsa pin is rejected before scheduling,
+		// and the bitvector packing checks are II-independent), but
+		// serve must never panic — fall back to the reference backend.
+		return query.NewDiscrete(e, ii)
+	})
 }
 
 // buildModule validates the module configuration of a batch or session
@@ -351,8 +380,11 @@ func appendIntList(b []byte, first *bool, key string, vs []int) []byte {
 // linear cycles, assign-on-conflict, free of unknown instances); the
 // fuzz harness pins this.
 type opExec struct {
-	e        *resmodel.Expanded
-	m        *resmodel.Machine // e's machine, for the schedule op's MII bounds
+	e *resmodel.Expanded
+	// m is the registered machine, the schedule op's MII basis under
+	// either use: loop ops are original-op indices, and only the
+	// original machine's resource bound is a lower bound of the problem.
+	m        *resmodel.Machine
 	mod      query.Module
 	rq       query.RangeQuerier // nil when the representation has none
 	rep      string             // requested representation (normalized; may be "auto")
@@ -361,10 +393,11 @@ type opExec struct {
 	ii       int
 	maxCycle int
 	live     map[int]placed
-	// sa is the schedule op's arena (lazily built): per-II modules over
-	// e selected under pol, reused across the executor's schedule ops.
-	// It is independent of mod — a schedule op never touches the
-	// session's partial MRT.
+	// sa is the schedule op's arena (borrowed from the machine's pool
+	// by a batch, lazily built by a session): per-II modules over e
+	// selected under pol, reused across the executor's schedule ops. It
+	// is independent of mod — a schedule op never touches the session's
+	// partial MRT.
 	sa *sched.Arena
 }
 
@@ -442,19 +475,7 @@ func (x *opExec) execSchedule(i int, op *BatchOp, res *opResult) *httpError {
 		return errf(http.StatusBadRequest, "op %d: invalid loop: %v", i, err)
 	}
 	if x.sa == nil {
-		e, pol := x.e, x.pol
-		x.sa = sched.NewArena(func(ii int) query.Module {
-			p := pol
-			p.II = ii
-			if sel, err := query.Select(e, p); err == nil {
-				return sel.Module
-			}
-			// Selection cannot fail for the policies buildModule admits
-			// here at any II (the fsa pin is rejected above, and the
-			// bitvector packing checks are II-independent), but serve must
-			// never panic — fall back to the reference backend.
-			return query.NewDiscrete(e, ii)
-		})
+		x.sa = newScheduleArena(x.e, x.pol)
 	}
 	switch op.Scheduler {
 	case "", "optimal":
@@ -669,13 +690,17 @@ func (s *Server) execBatch(r *http.Request, me *machineEntry, req *BatchRequest)
 		return nil, herr
 	}
 	pol := query.Policy{Representation: rep, II: req.II, K: req.K, WordBits: req.WordBits}
-	x := newOpExec(e, me.machineFor(use), sel, rep, pol, s.cfg.MaxCycle)
+	x := newOpExec(e, me.src, sel, rep, pol, s.cfg.MaxCycle)
+	pool := me.arenaPool(arenaKey{use, rep, req.K, req.WordBits}, e, pol)
+	x.sa = pool.Get().(*sched.Arena)
+	defer pool.Put(x.sa)
 	results := make([]BatchResult, 0, len(req.Ops))
 	var res opResult
 	for i := range req.Ops {
-		// A long batch re-checks its deadline periodically so a drained
-		// or timed-out request stops doing work.
-		if i&0x1ff == 0 {
+		// A long batch re-checks its deadline periodically, and before
+		// every schedule op (one can search hundreds of IIs), so a
+		// drained or timed-out request stops doing work.
+		if i&0x1ff == 0 || req.Ops[i].Fn == "schedule" {
 			if err := r.Context().Err(); err != nil {
 				return nil, errf(http.StatusServiceUnavailable, "request deadline exceeded at op %d of %d", i, len(req.Ops))
 			}

@@ -290,7 +290,7 @@ func TestDifferentialScanModes(t *testing.T) {
 			cfg.MaxII = scheduleMaxII
 			r := sched.NewArena(func(ii int) query.Module {
 				return query.PerCycle(localModule(t, e, batchCase{c.use, c.representation, ii}))
-			}).Schedule(loop, sess.machineFor(c.use), cfg)
+			}).Schedule(loop, sess.src, cfg)
 			sr := BatchResult{OK: &r.OK, MII: &r.MII}
 			if r.OK {
 				sr.II, sr.Times, sr.Alts = &r.II, r.Time, r.Alt

@@ -57,6 +57,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -161,12 +162,16 @@ func (c Config) withDefaults() Config {
 }
 
 // machineEntry is one registered machine description: the parsed
-// machine, its expansion, and its verified reduction.
+// machine, its expansion, its verified reduction, and the batch
+// schedule-op arenas reused across requests on it.
 type machineEntry struct {
 	name     string
 	src      *resmodel.Machine
 	expanded *resmodel.Expanded
 	red      *core.Result
+	// arenas maps an arenaKey to the *sync.Pool of *sched.Arena that
+	// batch schedule ops under that module policy borrow.
+	arenas sync.Map
 }
 
 // Server holds the machine registry, the scheduling-session table, the

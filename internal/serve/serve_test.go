@@ -265,6 +265,56 @@ func TestBatchStopsAtDeadline(t *testing.T) {
 	}
 }
 
+// expiringCtx is a context whose Err reports no error for its first
+// live calls and context.DeadlineExceeded after that.
+type expiringCtx struct {
+	context.Context
+	live int
+}
+
+func (c *expiringCtx) Err() error {
+	if c.live > 0 {
+		c.live--
+		return nil
+	}
+	return context.DeadlineExceeded
+}
+
+// TestDeadlineBeforeEveryScheduleOp pins that a batch, and a session
+// ops request, checks its deadline before every schedule op, not only
+// every 512 ops: once the deadline has passed, the next schedule op is
+// refused with 503 before it is even validated (the op without a loop
+// here would otherwise be a 400), so no search runs.
+func TestDeadlineBeforeEveryScheduleOp(t *testing.T) {
+	s := New(Config{})
+	if _, err := s.Register("ex", machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
+		t.Fatal(err)
+	}
+	ops := []BatchOp{
+		{Fn: "schedule", Loop: dotLoop()},
+		{Fn: "schedule"}, // no loop: a 400 if it were executed
+	}
+	for live, wantAt := range []string{"at op 0 of 2", "at op 1 of 2"} {
+		ctx := &expiringCtx{Context: context.Background(), live: live}
+		req := httptest.NewRequest(http.MethodPost, "/v1/batch", nil).WithContext(ctx)
+		_, herr := s.execBatch(req, s.lookup("ex"), &BatchRequest{Machine: "ex", Ops: ops})
+		if herr == nil || herr.status != http.StatusServiceUnavailable || !strings.Contains(herr.msg, wantAt) {
+			t.Fatalf("batch, deadline passed after %d checks: %+v, want 503 %s", live, herr, wantAt)
+		}
+
+		si := createSession(t, s.Handler(), SessionRequest{Machine: "ex"})
+		body, _ := json.Marshal(SessionOpsRequest{Ops: ops})
+		sreq := httptest.NewRequest(http.MethodPost, "/v1/sessions/"+si.SessionID+"/ops", bytes.NewReader(body))
+		sreq = sreq.WithContext(&expiringCtx{Context: context.Background(), live: live})
+		sreq.SetPathValue("id", si.SessionID)
+		rec := httptest.NewRecorder()
+		s.handleSessionOps(rec, sreq)
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), wantAt) {
+			t.Fatalf("session ops, deadline passed after %d checks: status %d %s, want 503 %s", live, rec.Code, rec.Body.String(), wantAt)
+		}
+	}
+}
+
 func TestBodySizeCap(t *testing.T) {
 	s := New(Config{MaxBodyBytes: 64})
 	big := []byte(fmt.Sprintf(`{"mdl": %q}`, strings.Repeat("x", 200)))

@@ -195,7 +195,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		rep:     rep,
 		ii:      req.II,
 		lock:    make(chan struct{}, 1),
-		x:       newOpExec(e, me.machineFor(use), sel, rep, pol, s.cfg.MaxCycle),
+		x:       newOpExec(e, me.src, sel, rep, pol, s.cfg.MaxCycle),
 	}
 	sess.lastUse.Store(now.UnixNano())
 	for range s.sessions.put(sess.id, sess) {
@@ -273,7 +273,8 @@ func (s *Server) handleSessionOps(w http.ResponseWriter, r *http.Request) {
 	results := make([]BatchResult, 0, len(req.Ops))
 	var res opResult
 	for i := range req.Ops {
-		if i&0x1ff == 0 {
+		// As in execBatch: periodically, and before every schedule op.
+		if i&0x1ff == 0 || req.Ops[i].Fn == "schedule" {
 			if err := r.Context().Err(); err != nil {
 				sess.touch(s.now())
 				writeErr(w, http.StatusServiceUnavailable, fmt.Sprintf("request deadline exceeded at op %d of %d", i, len(req.Ops)))

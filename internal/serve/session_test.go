@@ -474,7 +474,7 @@ func TestSessionSteadyStateZeroAlloc(t *testing.T) {
 		if herr != nil {
 			t.Fatalf("%s: buildModule: %s", rep, herr.msg)
 		}
-		x := newOpExec(e, me.machineFor("reduced"), sel, repOut, query.Policy{Representation: repOut}, s.cfg.MaxCycle)
+		x := newOpExec(e, me.src, sel, repOut, query.Policy{Representation: repOut}, s.cfg.MaxCycle)
 		var res opResult
 		buf := make([]byte, 0, 256)
 		run := func() {

@@ -14,13 +14,19 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/ddg"
+	"repro/internal/machines"
+	"repro/internal/sched"
 )
 
 // TestServeSmoke is the end-to-end smoke run behind `make serve-smoke`:
 // build the real mdserve binary, start it on an ephemeral port, drive
-// one reduce, one batch, a full scheduling-session conversation
-// (create, 100 streamed NDJSON ops, idle expiry) and one metrics
-// scrape over real TCP, then SIGTERM it and require a clean drain
+// one reduce, one batch, one batch schedule op verified against the
+// original description, a pipelined scheduling-session stream (create,
+// 100 NDJSON ops, idle expiry), a conversational stream (each op sent
+// after the previous answer arrives) and one metrics scrape over real
+// TCP, then SIGTERM it and require a clean drain
 // (exit code 0). Build-tagged so `go test ./...` stays fast.
 func TestServeSmoke(t *testing.T) {
 	bin := filepath.Join(t.TempDir(), "mdserve")
@@ -117,6 +123,33 @@ op store latency 1 {
 		t.Fatalf("implausible batch response: %+v", batch)
 	}
 
+	// A batch schedule op on the preloaded Cydra 5 subset: the served
+	// schedule must verify against the original description, and its
+	// MII is the original machine's.
+	subset := machines.Cydra5Subset()
+	loop := &LoopSpec{
+		Ops:   []int{0, 2, 1, 1, 0},
+		Edges: []LoopEdge{{From: 0, To: 1, Delay: 2}, {From: 1, To: 2, Delay: 1}, {From: 1, To: 3, Delay: 1}, {From: 4, To: 0, Delay: 1, Dist: 1}},
+	}
+	var sbatch BatchResponse
+	if err := json.Unmarshal(post("/v1/batch", BatchRequest{
+		Machine: "cydra5-subset",
+		Ops:     []BatchOp{{Fn: "schedule", Loop: loop}},
+	}), &sbatch); err != nil {
+		t.Fatalf("schedule batch response: %v", err)
+	}
+	sr := sbatch.Results[0]
+	if sr.OK == nil || !*sr.OK || sr.II == nil || sr.MII == nil {
+		t.Fatalf("schedule op not scheduled: %+v", sr)
+	}
+	g := loopGraph(loop)
+	if want := g.MII(ddg.MachineUsage{M: subset}); *sr.MII != want {
+		t.Fatalf("schedule op mii %d, want the original machine's %d", *sr.MII, want)
+	}
+	if err := sched.VerifySchedule(g, subset.Expand(), sched.Result{OK: true, II: *sr.II, Time: sr.Times, Alt: sr.Alts}); err != nil {
+		t.Fatalf("served schedule fails against the original description: %v", err)
+	}
+
 	// A stateful scheduling session: create it, stream 100 ops through
 	// the NDJSON conversation mode, and check every line came back plus
 	// the done trailer with the right op count.
@@ -156,6 +189,50 @@ op store latency 1 {
 	}
 	if err := json.Unmarshal(streamLines[streamOps], &trailer); err != nil || !trailer.Done || trailer.Ops != streamOps {
 		t.Fatalf("stream trailer: %s (err %v)", streamLines[streamOps], err)
+	}
+
+	// A conversational stream on a second session: each op is sent only
+	// after the previous answer has been read off the socket, so the
+	// server must flush every line before it waits for the next op.
+	var conv SessionInfo
+	if err := json.Unmarshal(post("/v1/sessions", SessionRequest{Machine: "smoke"}), &conv); err != nil {
+		t.Fatalf("session create response: %v", err)
+	}
+	pr, pw := io.Pipe()
+	creq, err := http.NewRequest(http.MethodPost, base+"/v1/sessions/"+conv.SessionID+"/stream", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cresp, err := client.Do(creq)
+	if err != nil {
+		t.Fatalf("conversational stream: %v", err)
+	}
+	if cresp.StatusCode != http.StatusOK {
+		t.Fatalf("conversational stream: status %d", cresp.StatusCode)
+	}
+	crd := bufio.NewReader(cresp.Body)
+	const convOps = 20
+	for i := 0; i < convOps; i++ {
+		op, _ := json.Marshal(BatchOp{Fn: "check", Op: 0, Cycle: i})
+		if _, err := pw.Write(append(op, '\n')); err != nil {
+			t.Fatalf("conversational op %d: %v", i, err)
+		}
+		line, err := crd.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("conversational op %d: reading answer: %v", i, err)
+		}
+		if string(line) != "{\"ok\":true}\n" {
+			t.Fatalf("conversational op %d: answer %q", i, line)
+		}
+	}
+	pw.Close()
+	line, err := crd.ReadBytes('\n')
+	cresp.Body.Close()
+	if err != nil {
+		t.Fatalf("conversational stream trailer: %v", err)
+	}
+	if err := json.Unmarshal(line, &trailer); err != nil || !trailer.Done || trailer.Ops != convOps {
+		t.Fatalf("conversational stream trailer: %s (err %v)", line, err)
 	}
 
 	// Idle past the 1s TTL the session expires: first probe sees

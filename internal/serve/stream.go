@@ -17,9 +17,13 @@ import (
 // handleSessionStream is the streaming batch mode of a scheduling
 // session: POST /v1/sessions/{id}/stream with an NDJSON body — one
 // BatchOp JSON object per line — answered with one NDJSON line per op,
-// flushed after every line, so a remote scheduler holds a wire-speed
-// conversation with its live module instead of paying a request
-// round-trip of framing per batch.
+// so a remote scheduler holds a wire-speed conversation with its live
+// module instead of paying a request round-trip of framing per batch.
+// Answers are flushed before the server would wait for input: when the
+// request buffer holds no complete next op line. A conversational
+// client (one op, then wait for its answer) therefore gets every line
+// as soon as it is computed, while a pipelined body of N ops costs a
+// few flushes instead of N.
 //
 // Response framing (Content-Type application/x-ndjson):
 //
@@ -74,8 +78,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	out := bufio.NewWriter(w)
-	// flushLine pushes one completed response line onto the wire so the
-	// client's next decision never waits on server-side buffering.
+	// flushLine pushes every completed response line onto the wire.
 	flushLine := func() {
 		out.Flush()
 		rc.Flush()
@@ -99,11 +102,22 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		buf     []byte // reused result-line buffer; zero steady-state allocs
 		n       int
 		errLine error
+		pending bool // result lines written since the last flush
 	)
 	for {
 		if err := ctx.Err(); err != nil {
 			fail(n, fmt.Sprintf("request deadline exceeded at op %d", n))
 			return
+		}
+		// Flush before a read that could block on the client: unless
+		// the reader already holds a complete next line (Peek of the
+		// buffered bytes never reads), the client may be waiting for
+		// these answers before it sends more.
+		if pending {
+			if next, _ := in.Peek(in.Buffered()); bytes.IndexByte(next, '\n') < 0 {
+				flushLine()
+				pending = false
+			}
 		}
 		var line []byte
 		line, errLine = in.ReadBytes('\n')
@@ -130,7 +144,7 @@ func (s *Server) handleSessionStream(w http.ResponseWriter, r *http.Request) {
 		buf = res.appendJSON(buf[:0])
 		buf = append(buf, '\n')
 		out.Write(buf)
-		flushLine()
+		pending = true
 		n++
 		if errLine != nil {
 			break // the final op arrived without a trailing newline

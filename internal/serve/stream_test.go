@@ -340,3 +340,60 @@ func mustParse(t *testing.T, src string) *resmodel.Machine {
 	}
 	return m
 }
+
+// flushCounter is a ResponseWriter that counts Flush calls.
+type flushCounter struct {
+	*httptest.ResponseRecorder
+	flushes int
+}
+
+func (f *flushCounter) Flush() {
+	f.flushes++
+	f.ResponseRecorder.Flush()
+}
+
+// TestStreamPipelinedFlushesCoalesced pins the flush rule for a
+// pipelined client: a 200-op body whose lines are all buffered ahead of
+// the server is answered with the same bytes as a flush per line would
+// carry, but flushed only when the request buffer runs out of complete
+// lines (plus the 200 header and the trailer), not once per result.
+func TestStreamPipelinedFlushesCoalesced(t *testing.T) {
+	s := New(Config{})
+	if _, err := s.Register("ex", machines.Example(), core.Objective{Kind: core.ResUses}); err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	c := batchCase{"reduced", "discrete", 0}
+	e := s.lookup("ex").expandedFor(c.use)
+	const numOps = 200
+	ops := genSequence(rand.New(rand.NewSource(14)), e, localModule(t, e, c), c.ii, true, 2*numOps)
+	if len(ops) < numOps {
+		t.Fatalf("generator produced %d ops, want %d", len(ops), numOps)
+	}
+	ops = ops[:numOps]
+
+	ref := localModule(t, e, c)
+	var want, body bytes.Buffer
+	for i, r := range replayOps(ref, ops) {
+		line, _ := json.Marshal(ops[i])
+		body.Write(append(line, '\n'))
+		line, _ = json.Marshal(r)
+		want.Write(append(line, '\n'))
+	}
+	trailer, _ := json.Marshal(streamTrailer{Done: true, Ops: numOps, Backend: c.representation, Counters: *ref.Counters()})
+	want.Write(append(trailer, '\n'))
+
+	si := createSession(t, h, SessionRequest{Machine: "ex"})
+	fc := &flushCounter{ResponseRecorder: httptest.NewRecorder()}
+	h.ServeHTTP(fc, httptest.NewRequest(http.MethodPost, "/v1/sessions/"+si.SessionID+"/stream", &body))
+	if fc.Code != http.StatusOK {
+		t.Fatalf("stream: status %d: %s", fc.Code, fc.Body.String())
+	}
+	if !bytes.Equal(fc.Body.Bytes(), want.Bytes()) {
+		t.Fatalf("streamed body differs from the in-process replay\nserved:\n%s\nwant:\n%s", fc.Body.Bytes(), want.Bytes())
+	}
+	if fc.flushes > 8 {
+		t.Errorf("%d flushes for a pipelined %d-op body, want at most 8", fc.flushes, numOps)
+	}
+	t.Logf("%d ops, %d body bytes, %d flushes", numOps, fc.Body.Len(), fc.flushes)
+}
